@@ -180,7 +180,7 @@ def _cmd_solve(args) -> int:
         if args.recheck:
             record.append(("recheck", "ok" if g.induced_edge_count(vertices) == count else "fail"))
         _emit(record)
-        status = 0
+        status = 0 if not args.recheck or g.induced_edge_count(vertices) == count else 1
     else:
         raise ValueError(f"unknown problem {args.problem!r}")
     if args.timing:

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact
+from .exact import block_rows, distances
 from .reductions import (
     Max2SatInstance,
     NonCanonicalCenterError,
@@ -25,8 +26,6 @@ from .reductions import (
 )
 from .rng import derive_seed
 from .words import Word
-
-_CHUNK = 8192
 
 
 def _pair_mask(n: int) -> int:
@@ -56,10 +55,9 @@ def all_fixing_words(n: int) -> np.ndarray:
 def _far_counts(s_arr: np.ndarray, f_arr: np.ndarray, n: int) -> np.ndarray:
     """For each s, how many f are at Hamming distance > n."""
     counts = np.zeros(len(s_arr), dtype=np.int64)
-    for lo in range(0, len(s_arr), _CHUNK):
-        chunk = s_arr[lo : lo + _CHUNK]
-        dist = np.bitwise_count(chunk[:, None] ^ f_arr[None, :])
-        counts[lo : lo + _CHUNK] = (dist > n).sum(axis=1)
+    step = block_rows(f_arr)
+    for lo in range(0, len(s_arr), step):
+        counts[lo : lo + step] = (distances(s_arr[lo : lo + step], f_arr) > n).sum(axis=1)
     return counts
 
 

@@ -13,10 +13,11 @@ not need an oracle at all: the radius is 0 iff some word occurs k times.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Callable
 
-from .exact import CenterResult, enumerate_words, solve_cks_exact, _k_nearest
+import numpy as np
+
+from .exact import DEFAULT_ENUM_BUDGET, CenterResult, _center_scores, _cks_result, _kth_smallest, solve_cks_exact
 from .rng import SplitMix64
 from .words import CksInstance, hamming
 
@@ -59,29 +60,24 @@ def exact_oracle(inst: CksInstance, eps: float) -> CenterResult:
     return solve_cks_exact(inst)
 
 
-@lru_cache(maxsize=256)
-def _radius_table(inst: CksInstance):
-    """All achievable radii with one representative feasible solution each."""
-    table = {}
-    for s in enumerate_words(inst.set.alphabet, inst.set.length):
-        radius, chosen = _k_nearest(s, inst.set, inst.k)
-        table.setdefault(radius, []).append(CenterResult(s, radius, chosen))
-    return table
-
-
 def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> CenterResult:
     """Worst contract-honoring oracle for stress tests: returns a feasible
-    solution whose radius is drawn from [d_opt, floor((1+eps)*d_opt)]."""
-    table = _radius_table(inst)
-    d_opt = min(table)
+    solution whose radius is drawn from [d_opt, floor((1+eps)*d_opt)].
+
+    The drawn solution is uniform over the centers attaining the drawn
+    radius (or d_opt, if none does), in lexicographic order."""
+    radii = np.concatenate(
+        [r for _, r in _center_scores(inst.set, lambda dist: _kth_smallest(dist, inst.k), DEFAULT_ENUM_BUDGET)]
+    )
+    d_opt = int(radii.min())
     hi = int((1 + eps) * d_opt)
     rng = SplitMix64(seed)
     target = d_opt + rng.next_below(hi - d_opt + 1) if hi > d_opt else d_opt
-    candidates = table.get(target)
-    if not candidates:
+    candidates = np.flatnonzero(radii == target)
+    if not len(candidates):
         # no feasible solution attains exactly the drawn radius
-        candidates = table[d_opt]
-    return candidates[rng.next_below(len(candidates))]
+        candidates = np.flatnonzero(radii == d_opt)
+    return _cks_result(inst, int(candidates[rng.next_below(len(candidates))]))
 
 
 def make_inflating_oracle(seed: int) -> ApproxOracle:

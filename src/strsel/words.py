@@ -73,6 +73,17 @@ class Word:
         return w
 
     @classmethod
+    def from_index(cls, index: int, length: int, alphabet: Alphabet = BINARY) -> "Word":
+        """The word at position ``index`` of the lexicographic order."""
+        if alphabet.is_binary:
+            return cls.from_bits(index, length)
+        symbols = []
+        for _ in range(length):
+            index, c = divmod(index, alphabet.size)
+            symbols.append(c)
+        return cls(reversed(symbols), alphabet)
+
+    @classmethod
     def from_text(cls, text: str, alphabet: Alphabet = BINARY) -> "Word":
         try:
             symbols = [SYMBOL_CHARS.index(ch) for ch in text]

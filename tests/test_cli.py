@@ -156,3 +156,30 @@ def test_byte_identical_solve(capsys, cms_file):
     _, a = run(capsys, "solve", "cms", "--algo", "exact", "-f", cms_file)
     _, b = run(capsys, "solve", "cms", "--algo", "exact", "-f", cms_file)
     assert a == b
+
+
+def test_decide_cks_over_budget_exits_before_enumerating(capsys, tmp_path, monkeypatch):
+    from strsel import exact
+
+    def enumeration_started(*args, **kwargs):
+        raise AssertionError("center enumeration started")
+
+    monkeypatch.setattr(exact, "packed", enumeration_started)
+    monkeypatch.setattr(exact, "center_block", enumeration_started)
+    monkeypatch.setattr(exact, "distances", enumeration_started)
+    p = tmp_path / "long.txt"
+    p.write_text("strings 2 30 3\nparam k 2\n" + "0" * 30 + "\n" + "01" * 15 + "\n" + "1" * 30 + "\n")
+    status = main(["decide-cks", "-f", str(p), "--d", "1", "--oracle", "inflate:1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.startswith("resource error:")
+
+
+def test_solve_dks_recheck_status(capsys, graph_file, monkeypatch):
+    from strsel.reductions import Graph
+
+    status, out = run(capsys, "solve", "dks", "-f", graph_file, "--k", "2", "--recheck")
+    assert status == 0 and as_dict(out)["recheck"] == "ok"
+    monkeypatch.setattr(Graph, "induced_edge_count", lambda self, vertices: -1)
+    status, out = run(capsys, "solve", "dks", "-f", graph_file, "--k", "2", "--recheck")
+    assert status == 1 and as_dict(out)["recheck"] == "fail"

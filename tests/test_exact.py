@@ -20,7 +20,6 @@ from strsel import (
 )
 from strsel.exact import (
     BudgetExceededError,
-    enumerate_words,
     solve_cks_exact,
     solve_cms_exact,
     solve_dks_exact,
@@ -31,6 +30,8 @@ from strsel.exact import (
 )
 from strsel.gen import random_graph, random_max2sat, random_string_set
 from strsel.reductions import Graph, Literal
+
+from reference_solvers import enumerate_words
 
 
 def sset(*texts, sigma=2):
