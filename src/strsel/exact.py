@@ -49,12 +49,17 @@ class SubsetResult:
     bad_column_count: int
 
 
+def symbol_matrix(sset: StringSet) -> np.ndarray:
+    """The words as an (n, l) ``uint8`` symbol matrix."""
+    return np.array([w.symbols for w in sset], dtype=np.uint8)
+
+
 def packed(sset: StringSet) -> np.ndarray:
     """The words as a :func:`distances` operand: one unsigned integer per word
-    when binary (length at most 64), else an (n, l) ``uint8`` symbol matrix."""
+    when binary (length at most 64), else their :func:`symbol_matrix`."""
     if sset.alphabet.is_binary:
         return np.array([w.bits for w in sset], dtype=_bits_dtype(sset.length))
-    return np.array([w.symbols for w in sset], dtype=np.uint8)
+    return symbol_matrix(sset)
 
 
 def _bits_dtype(length: int) -> np.dtype:
@@ -128,15 +133,27 @@ def _best_center(sset: StringSet, score, enum_budget: int) -> tuple:
     return best_index, best_value
 
 
+def coverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
+    """The CMS objective of each row of a (centers, words) distance array:
+    how many words lie within distance ``d``."""
+    return (dist <= d).sum(axis=1)
+
+
+def anticoverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
+    """The FFMS objective of each row of a (centers, words) distance array:
+    how many words lie at distance ``d`` or more."""
+    return (dist >= d).sum(axis=1)
+
+
 def solve_cms_exact(inst: CmsInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CenterResult:
     """Maximize coverage over all possible centers."""
-    index, value = _best_center(inst.set, lambda dist: (dist <= inst.d).sum(axis=1), enum_budget)
+    index, value = _best_center(inst.set, lambda dist: coverage_counts(dist, inst.d), enum_budget)
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
 def solve_ffms_exact(inst: FfmsInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CenterResult:
     """Maximize anticoverage over all possible centers."""
-    index, value = _best_center(inst.set, lambda dist: (dist >= inst.d).sum(axis=1), enum_budget)
+    index, value = _best_center(inst.set, lambda dist: anticoverage_counts(dist, inst.d), enum_budget)
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
@@ -252,12 +269,6 @@ def solve_dks_exact(graph, k: int, subset_budget: int = DEFAULT_SUBSET_BUDGET):
         raise BudgetExceededError(
             f"subset enumeration needs C({v},{k}) subsets, above the budget of {subset_budget}"
         )
-    edges = graph.edges
-    best = None
-    best_count = -1
-    for combo in itertools.combinations(range(1, v + 1), k):
-        chosen = set(combo)
-        count = sum(1 for (a, b) in edges if a in chosen and b in chosen)
-        if count > best_count:
-            best, best_count = combo, count
-    return best, best_count
+    # max keeps the first maximum, the lexicographically smallest subset
+    best = max(itertools.combinations(range(1, v + 1), k), key=graph.induced_edge_count)
+    return best, graph.induced_edge_count(best)

@@ -29,6 +29,13 @@ def _lines(text: str):
     return [ln.strip() for ln in text.splitlines()]
 
 
+def _int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be an integer, got {token!r}") from None
+
+
 # problem name -> (instance type, parameter letter)
 PROBLEMS = {
     "cms": (CmsInstance, "d"),
@@ -51,20 +58,14 @@ def parse_strings_instance(text: str, problem: str | None = None):
     head = lines[0].split()
     if len(head) != 4 or head[0] != "strings":
         raise ParseError(1, f"expected 'strings <sigma> <l> <n>', got {lines[0]!r}")
-    try:
-        sigma, length, n = (int(x) for x in head[1:])
-    except ValueError:
-        raise ParseError(1, "sigma, l, n must be integers") from None
+    sigma, length, n = (_int(x, 1, name) for x, name in zip(head[1:], ("sigma", "l", "n")))
     if len(lines) < 2 or not lines[1].startswith("param"):
         raise ParseError(2, "missing 'param <d|k> <value>' line")
     parts = lines[1].split()
     if len(parts) != 3 or parts[1] not in ("d", "k"):
         raise ParseError(2, f"expected 'param <d|k> <value>', got {lines[1]!r}")
     letter = parts[1]
-    try:
-        value = int(parts[2])
-    except ValueError:
-        raise ParseError(2, "parameter value must be an integer") from None
+    value = _int(parts[2], 2, "parameter value")
 
     alphabet = Alphabet(sigma)
     words = []
@@ -118,7 +119,7 @@ def parse_cnf(text: str) -> Max2SatInstance:
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(lineno, f"expected 'p cnf <n> <m>', got {ln!r}")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = _int(parts[2], lineno, "variable count"), _int(parts[3], lineno, "clause count")
             continue
         if n is None:
             raise ParseError(lineno, "clause line before 'p cnf' header")
@@ -127,7 +128,7 @@ def parse_cnf(text: str) -> Max2SatInstance:
             raise ParseError(lineno, f"expected '<lit> <lit> 0', got {ln!r}")
         lits = []
         for tok in parts[:2]:
-            v = int(tok)
+            v = _int(tok, lineno, "literal")
             if v == 0 or abs(v) > n:
                 raise ParseError(lineno, f"literal {tok} outside variable range 1..{n}")
             lits.append(Literal(abs(v), v > 0))
@@ -164,7 +165,7 @@ def parse_graph(text: str) -> Graph:
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(lineno, f"expected 'p edge <V> <E>', got {ln!r}")
-            v, e = int(parts[2]), int(parts[3])
+            v, e = _int(parts[2], lineno, "vertex count"), _int(parts[3], lineno, "edge count")
             continue
         if not ln.startswith("e "):
             raise ParseError(lineno, f"expected 'e <u> <v>', got {ln!r}")
@@ -173,7 +174,7 @@ def parse_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 'e <u> <v>', got {ln!r}")
-        a, b = int(parts[1]), int(parts[2])
+        a, b = _int(parts[1], lineno, "endpoint"), _int(parts[2], lineno, "endpoint")
         if a == b:
             raise ParseError(lineno, f"loop edge ({a},{b})")
         if not (1 <= a <= v and 1 <= b <= v):

@@ -178,10 +178,11 @@ def fixing_strings(count: int, n: int, seed: int) -> list:
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
-        symbols = []
+        bits = 0
         for _ in range(n):
-            symbols.extend((0, 1) if rng.next_bit() == 0 else (1, 0))
-        out.append(Word(symbols))
+            # block 01 for a 0 draw, 10 for a 1 draw, first block most significant
+            bits = (bits << 2) | (0b10 if rng.next_bit() else 0b01)
+        out.append(Word.from_bits(bits, 2 * n))
     return out
 
 

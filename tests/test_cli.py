@@ -69,6 +69,13 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert status == 2
 
 
+def test_unreadable_file_exit_2(capsys, tmp_path):
+    status = main(["solve", "cms", "-f", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 def test_usage_error_exit_2(capsys):
     status = main(["solve", "nosuchproblem", "-f", "x"])
     capsys.readouterr()

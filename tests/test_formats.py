@@ -83,6 +83,14 @@ class TestCnfFormat:
         with pytest.raises(ParseError, match="promises 2"):
             parse_cnf("p cnf 2 2\n1 2 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line", [("p cnf 2 1\n1 x 0\n", 2), ("c\np cnf two 1\n1 2 0\n", 2), ("p cnf 2 1.5\n", 1)]
+    )
+    def test_non_integer_token_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match="must be an integer") as err:
+            parse_cnf(text)
+        assert err.value.line == line
+
     def test_round_trip(self):
         for seed in range(5):
             phi = random_max2sat(4, 7, seed=seed)
@@ -105,6 +113,14 @@ class TestGraphFormat:
     def test_duplicate_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph("p edge 3 2\ne 1 2\ne 2 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line", [("p edge 3 1\ne 1 y\n", 2), ("p edge three 1\n", 1), ("p edge 3 1\n\ne 0x1 2\n", 3)]
+    )
+    def test_non_integer_token_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match="must be an integer") as err:
+            parse_graph(text)
+        assert err.value.line == line
 
     def test_round_trip(self):
         for seed in range(5):

@@ -3,6 +3,7 @@ complement bridge between the two objectives."""
 
 import pytest
 
+from strsel import heuristics
 from strsel import CmsInstance, FfmsInstance, StringSet, coverage
 from strsel.exact import solve_cms_exact, solve_ffms_exact
 from strsel.gen import random_string_set
@@ -75,3 +76,10 @@ def test_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(start="annealing")
+
+
+def test_rescore_mismatch_raises(monkeypatch):
+    inst = CmsInstance(random_string_set(2, 6, 5, seed=1), d=2)
+    monkeypatch.setattr(heuristics, "coverage", lambda s, inst: -1)
+    with pytest.raises(AssertionError, match="per-word rescore"):
+        local_search_cms(inst, SearchConfig(seed=0, restarts=2))

@@ -1,9 +1,11 @@
-"""The packed distance kernel and the center solvers built on it, checked
-against the pure-Python reference solvers in ``reference_solvers``."""
+"""The packed distance kernel, the center solvers and the hill climbing built
+on it, checked against the pure-Python reference solvers in
+``reference_solvers``."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,9 @@ from strsel.cli import main
 from strsel.exact import center_block, distances, packed, solve_cks_exact, solve_cms_exact, solve_ffms_exact
 from strsel.fpt import epsilon_for, synthetic_inflating_oracle
 from strsel.formats import serialize_strings_instance
-from strsel.gen import random_string_set
+from strsel.gen import random_max2sat, random_string_set
+from strsel.heuristics import SearchConfig, local_search_cms, local_search_ffms
+from strsel.reductions import reduce_max2sat_to_cms
 from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, StringSet, Word, hamming
 
 # longest words per alphabet that keep the reference solvers fast
@@ -58,6 +62,26 @@ def test_inflating_oracle_matches_reference(sset, block, seeds, eps, data):
     with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
         for seed in seeds:
             assert synthetic_inflating_oracle(inst, eps, seed) == ref.synthetic_inflating_oracle(inst, eps, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    string_sets(),
+    st.sampled_from(["inputs", "random", "canonical"]),
+    st.sampled_from([1, 2, 10_000]),
+    st.integers(1, 4),
+    st.integers(0, 2**64 - 1),
+)
+def test_local_search_matches_reference(sset, start, max_iterations, restarts, seed):
+    cfg = SearchConfig(seed=seed, restarts=restarts, max_iterations=max_iterations, start=start)
+    if start == "canonical" and not (sset.alphabet.is_binary and sset.length % 2 == 0):
+        with pytest.raises(ValueError, match="canonical"):
+            local_search_cms(CmsInstance(sset, 0), cfg)
+        return
+    for d in range(sset.length + 1):
+        cms, ffms = CmsInstance(sset, d), FfmsInstance(sset, d)
+        assert local_search_cms(cms, cfg) == ref.local_search_cms(cms, cfg)
+        assert local_search_ffms(ffms, cfg) == ref.local_search_ffms(ffms, cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,3 +130,25 @@ def test_cli_output_matches_reference_solvers(capsys, tmp_path):
                 assert main(argv + ["--oracle", f"inflate:{oracle_seed}"]) == 0
                 answer = "yes" if radius <= d else "no"
                 assert capsys.readouterr().out == f"problem=cks-decision\nd={d}\nanswer={answer}\n"
+
+
+def test_cli_local_search_output_matches_reference(capsys, tmp_path):
+    reduced, _ = reduce_max2sat_to_cms(random_max2sat(4, 5, seed=2), c=3, seed=2)
+    cases = [
+        ("cms", reduced, ["inputs", "random", "canonical"]),
+        ("cms", CmsInstance(random_string_set(3, 5, 12, seed=1), 2), ["inputs", "random"]),
+        ("ffms", FfmsInstance(random_string_set(2, 8, 20, seed=3), 5), ["inputs", "random", "canonical"]),
+        ("ffms", FfmsInstance(random_string_set(4, 4, 15, seed=4), 3), ["inputs", "random"]),
+    ]
+    for i, (problem, inst, starts) in enumerate(cases):
+        solve = ref.local_search_cms if problem == "cms" else ref.local_search_ffms
+        path = tmp_path / f"{problem}-{i}.txt"
+        path.write_text(serialize_strings_instance(inst))
+        for start in starts:
+            seed = 17 + i
+            argv = ["solve", problem, "-f", str(path), "--algo", "local", "--recheck", "--seed", str(seed)]
+            assert main(argv + ["--restarts", "5", "--start", start]) == 0
+            res = solve(inst, SearchConfig(seed=seed, restarts=5, start=start))
+            expected = [f"problem={problem}", "algorithm=local", f"seed={seed}", f"value={res.value}",
+                        f"center={res.center}", "recheck=ok"]
+            assert capsys.readouterr().out == "\n".join(expected) + "\n"

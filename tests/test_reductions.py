@@ -25,6 +25,7 @@ from strsel.reductions import (
     reduce_max2sat_to_cms,
     verify_claim_optval,
 )
+from strsel.rng import SplitMix64
 
 
 def clause(v1, p1, v2, p2):
@@ -90,6 +91,18 @@ class TestFixingStrings:
     def test_deterministic(self):
         assert fixing_strings(3, 2, seed=42) == fixing_strings(3, 2, seed=42)
         assert fixing_strings(3, 2, seed=42) != fixing_strings(3, 2, seed=43)
+
+    def test_pinned_to_the_seeded_draws(self):
+        assert [str(f) for f in fixing_strings(4, 3, seed=11)] == ["010110", "100110", "011001", "100101"]
+        for seed in range(5):
+            rng = SplitMix64(seed)
+            expected = []
+            for _ in range(7):
+                symbols = []
+                for _ in range(6):
+                    symbols.extend((0, 1) if rng.next_bit() == 0 else (1, 0))
+                expected.append(Word(symbols))
+            assert fixing_strings(7, 6, seed) == expected
 
 
 class TestSatReduction:
