@@ -364,6 +364,9 @@ def main(argv=None) -> int:
     except exact.BudgetExceededError as e:
         print(f"resource error: {e}", file=sys.stderr)
         return 2
+    except fpt.OracleContractError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -187,24 +187,38 @@ def solve_cks_exact(inst: CksInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -
 def solve_msfbc_subsets(
     inst: MsfbcInstance, subset_budget: int = DEFAULT_SUBSET_BUDGET
 ) -> SubsetResult:
-    """Exhaustive search over all subsets, largest cardinality first.
+    """The largest subset with at most k bad columns, ties to the first index
+    list in lexicographic order, from one table over all 2^n subsets.
 
-    Within a cardinality, ``itertools.combinations`` yields index lists in
-    lexicographic order, so the first feasible subset found is the canonical
-    answer.
+    Bit ``j*sigma + c`` of a word's one-hot code is set when it has symbol
+    ``c`` at column ``j``; column j is constant on a subset exactly when the
+    subset's AND keeps one of its bits. The table of ANDs is filled by
+    doubling, one 64-bit limb at a time. Word i is mask bit n-1-i, so among
+    subsets of one size the largest mask is the first index list.
     """
     n = inst.set.size
     if 2**n > subset_budget:
         raise BudgetExceededError(
             f"subset enumeration needs 2^{n} subsets, above the budget of {subset_budget}"
         )
-    words = inst.set.words
-    for size in range(n, 0, -1):
-        for combo in itertools.combinations(range(n), size):
-            bad = bad_columns([words[i] for i in combo])
-            if len(bad) <= inst.k:
-                return SubsetResult(indices=combo, bad_column_count=len(bad))
-    raise AssertionError("unreachable: any single string has zero bad columns")
+    ell, sigma = inst.set.length, inst.set.alphabet.size
+    onehot = (symbol_matrix(inst.set)[:, :, None] == np.arange(sigma)).reshape(n, ell * sigma)
+    limbs = np.packbits(np.pad(onehot, ((0, 0), (0, -ell * sigma % 64))), axis=1).view(np.uint64)
+    table = np.empty(1 << n, dtype=np.uint64)
+    constant = np.zeros(1 << n, dtype=np.min_scalar_type(ell))
+    for limb in limbs.T:
+        table[0] = ~np.uint64(0)
+        for p in range(n):
+            np.bitwise_and(table[: 1 << p], limb[n - 1 - p], out=table[1 << p : 2 << p])
+        table[0] = 0  # the empty set: no constant column
+        constant += np.bitwise_count(table)
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for p in range(n):
+        np.add(sizes[: 1 << p], 1, out=sizes[1 << p : 2 << p])
+    sizes[constant < ell - inst.k] = 0
+    mask = int(np.flatnonzero(sizes == sizes.max())[-1])
+    indices = tuple(i for i in range(n) if mask >> (n - 1 - i) & 1)
+    return SubsetResult(indices=indices, bad_column_count=ell - int(constant[mask]))
 
 
 def solve_msfbc_columns(

@@ -29,11 +29,14 @@ def _lines(text: str):
     return [ln.strip() for ln in text.splitlines()]
 
 
-def _int(token: str, lineno: int, what: str) -> int:
+def _int(token: str, lineno: int, what: str, least: int | None = None) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(lineno, f"{what} must be an integer, got {token!r}") from None
+    if least is not None and value < least:
+        raise ParseError(lineno, f"{what} must be at least {least}, got {value}")
+    return value
 
 
 # problem name -> (instance type, parameter letter)
@@ -119,7 +122,7 @@ def parse_cnf(text: str) -> Max2SatInstance:
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(lineno, f"expected 'p cnf <n> <m>', got {ln!r}")
-            n, m = _int(parts[2], lineno, "variable count"), _int(parts[3], lineno, "clause count")
+            n, m = _int(parts[2], lineno, "variable count", 1), _int(parts[3], lineno, "clause count", 1)
             continue
         if n is None:
             raise ParseError(lineno, "clause line before 'p cnf' header")
@@ -165,7 +168,7 @@ def parse_graph(text: str) -> Graph:
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(lineno, f"expected 'p edge <V> <E>', got {ln!r}")
-            v, e = _int(parts[2], lineno, "vertex count"), _int(parts[3], lineno, "edge count")
+            v, e = _int(parts[2], lineno, "vertex count", 0), _int(parts[3], lineno, "edge count", 0)
             continue
         if not ln.startswith("e "):
             raise ParseError(lineno, f"expected 'e <u> <v>', got {ln!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional, Sequence
 
 from . import exact
@@ -302,13 +301,9 @@ def verify_claim_optval(graph: Graph, k: int) -> ClaimReport:
     k-subgraph optimum plus one."""
     _, alpha = exact.solve_dks_exact(graph, k)
     inst, _ = reduce_dks_to_msfbc(graph, k)
-    # both MSFBC solvers are exact; pick whichever enumeration is cheaper
-    # (dense graphs put 2^(|E|+1) subsets out of reach long before the
-    # C(|V|, k) column sets grow)
-    n, ell = inst.set.size, inst.set.length
-    subset_work = 2**n
-    column_work = comb(ell, min(k, ell)) * n
-    if subset_work <= column_work and subset_work <= exact.DEFAULT_SUBSET_BUDGET:
+    # both MSFBC solvers are exact; the subset table is the faster one while
+    # its 2^(|E|+1) subsets fit the budget, which dense graphs soon exceed
+    if 2**inst.set.size <= exact.DEFAULT_SUBSET_BUDGET:
         result = exact.solve_msfbc_subsets(inst)
     else:
         result = exact.solve_msfbc_columns(inst)

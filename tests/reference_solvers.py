@@ -1,12 +1,13 @@
-"""Pure-Python reference solvers for the center problems.
+"""Pure-Python reference solvers.
 
 These are the per-center, per-word loops that ``strsel.exact`` and
-``strsel.fpt`` replaced with the packed numpy distance kernel, and the
+``strsel.fpt`` replaced with the packed numpy distance kernel, the
 per-neighbour hill climbing that ``strsel.heuristics`` replaced with an
-incremental distance vector. They are kept here, built only on ``Word`` and
-``hamming``, as the differential oracle for the fast paths: those must
-return equal ``CenterResult`` values, including the lexicographic
-tie-breaks.
+incremental distance vector, and the MSFBC combination loop that
+``strsel.exact`` replaced with a table over all subsets. They are kept here,
+built only on ``Word``, ``hamming`` and ``bad_columns``, as the differential
+oracle for the fast paths: those must return equal ``CenterResult`` and
+``SubsetResult`` values, including the lexicographic tie-breaks.
 """
 
 from __future__ import annotations
@@ -14,10 +15,22 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Optional
 
-from strsel.exact import CenterResult
+from strsel.exact import DEFAULT_SUBSET_BUDGET, BudgetExceededError, CenterResult, SubsetResult
 from strsel.heuristics import SearchConfig
 from strsel.rng import SplitMix64, derive_seed
-from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, StringSet, Word, anticoverage, coverage, hamming
+from strsel.words import (
+    Alphabet,
+    CksInstance,
+    CmsInstance,
+    FfmsInstance,
+    MsfbcInstance,
+    StringSet,
+    Word,
+    anticoverage,
+    bad_columns,
+    coverage,
+    hamming,
+)
 
 
 def enumerate_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
@@ -152,3 +165,21 @@ def local_search_cms(inst: CmsInstance, cfg: SearchConfig) -> CenterResult:
 
 def local_search_ffms(inst: FfmsInstance, cfg: SearchConfig) -> CenterResult:
     return _local_search(inst.set, lambda s: anticoverage(s, inst), cfg)
+
+
+def solve_msfbc_subsets(inst: MsfbcInstance, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> SubsetResult:
+    """Largest cardinality first; within one, ``itertools.combinations``
+    yields index lists in lexicographic order, so the first feasible subset
+    found is the canonical answer."""
+    n = inst.set.size
+    if 2**n > subset_budget:
+        raise BudgetExceededError(
+            f"subset enumeration needs 2^{n} subsets, above the budget of {subset_budget}"
+        )
+    words = inst.set.words
+    for size in range(n, 0, -1):
+        for combo in itertools.combinations(range(n), size):
+            bad = bad_columns([words[i] for i in combo])
+            if len(bad) <= inst.k:
+                return SubsetResult(indices=combo, bad_column_count=len(bad))
+    raise AssertionError("unreachable: any single string has zero bad columns")

@@ -190,3 +190,31 @@ def test_solve_dks_recheck_status(capsys, graph_file, monkeypatch):
     monkeypatch.setattr(Graph, "induced_edge_count", lambda self, vertices: -1)
     status, out = run(capsys, "solve", "dks", "-f", graph_file, "--k", "2", "--recheck")
     assert status == 1 and as_dict(out)["recheck"] == "fail"
+
+
+def test_header_count_out_of_range_exit_2(capsys, tmp_path):
+    for name, argv, text in [
+        ("g.txt", ["solve", "dks", "--k", "1"], "p edge -1 0\n"),
+        ("phi.cnf", ["solve", "max2sat"], "p cnf 0 0\n"),
+    ]:
+        p = tmp_path / name
+        p.write_text(text)
+        status = main(argv + ["-f", str(p)])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+def test_oracle_contract_error_exits_1(capsys, tmp_path, monkeypatch):
+    from strsel import fpt
+    from strsel.exact import CenterResult
+    from strsel.words import Word
+
+    p = tmp_path / "cks.txt"
+    p.write_text("strings 2 3 3\nparam k 2\n000\n011\n111\n")
+    monkeypatch.setattr(
+        fpt, "synthetic_inflating_oracle", lambda inst, eps, seed: CenterResult(Word.from_text("000"), 0, (0,))
+    )
+    status = main(["decide-cks", "-f", str(p), "--d", "1", "--oracle", "inflate:3"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == "" and captured.err == "error: oracle must return a subset of exactly k strings\n"

@@ -14,7 +14,7 @@ from strsel.formats import (
     serialize_strings_instance,
 )
 from strsel.gen import random_graph, random_max2sat, random_string_set
-from strsel.reductions import reduce_dks_to_msfbc, reduce_max2sat_to_cms
+from strsel.reductions import Graph, reduce_dks_to_msfbc, reduce_max2sat_to_cms
 
 
 class TestStringsFormat:
@@ -91,6 +91,14 @@ class TestCnfFormat:
             parse_cnf(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line", [("p cnf 0 0\n", 1), ("c\np cnf -2 1\n1 2 0\n", 2), ("p cnf 2 0\n", 1)]
+    )
+    def test_header_count_below_one_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match="must be at least 1") as err:
+            parse_cnf(text)
+        assert err.value.line == line
+
     def test_round_trip(self):
         for seed in range(5):
             phi = random_max2sat(4, 7, seed=seed)
@@ -121,6 +129,15 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="must be an integer") as err:
             parse_graph(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("text, line", [("p edge -1 0\n", 1), ("c\np edge 3 -1\n", 2)])
+    def test_negative_header_count_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match="must be at least 0") as err:
+            parse_graph(text)
+        assert err.value.line == line
+
+    def test_empty_graph(self):
+        assert parse_graph("p edge 0 0\n") == Graph(0, ())
 
     def test_round_trip(self):
         for seed in range(5):

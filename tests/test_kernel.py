@@ -1,6 +1,6 @@
 """The packed distance kernel, the center solvers and the hill climbing built
-on it, checked against the pure-Python reference solvers in
-``reference_solvers``."""
+on it, and the MSFBC subset table, checked against the pure-Python reference
+solvers in ``reference_solvers``."""
 
 from unittest import mock
 
@@ -12,13 +12,22 @@ from hypothesis import strategies as st
 import reference_solvers as ref
 from strsel import exact
 from strsel.cli import main
-from strsel.exact import center_block, distances, packed, solve_cks_exact, solve_cms_exact, solve_ffms_exact
+from strsel.exact import (
+    BudgetExceededError,
+    center_block,
+    distances,
+    packed,
+    solve_cks_exact,
+    solve_cms_exact,
+    solve_ffms_exact,
+    solve_msfbc_subsets,
+)
 from strsel.fpt import epsilon_for, synthetic_inflating_oracle
 from strsel.formats import serialize_strings_instance
-from strsel.gen import random_max2sat, random_string_set
+from strsel.gen import random_graph, random_max2sat, random_string_set
 from strsel.heuristics import SearchConfig, local_search_cms, local_search_ffms
-from strsel.reductions import reduce_max2sat_to_cms
-from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, StringSet, Word, hamming
+from strsel.reductions import reduce_dks_to_msfbc, reduce_max2sat_to_cms
+from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet, Word, hamming
 
 # longest words per alphabet that keep the reference solvers fast
 MAX_LENGTH = {2: 8, 3: 5, 4: 4}
@@ -152,3 +161,58 @@ def test_cli_local_search_output_matches_reference(capsys, tmp_path):
             expected = [f"problem={problem}", "algorithm=local", f"seed={seed}", f"value={res.value}",
                         f"center={res.center}", "recheck=ok"]
             assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+@st.composite
+def msfbc_sets(draw):
+    """Up to 10 words, some of them repeated, that differ from one base word
+    in a few columns; sigma * l reaches past one 64-bit limb."""
+    sigma = draw(st.sampled_from([2, 3, 4]))
+    length = draw(st.integers(1, 80 // sigma))
+    base = draw(st.lists(st.integers(0, sigma - 1), min_size=length, max_size=length))
+    edits = st.dictionaries(st.integers(0, length - 1), st.integers(0, sigma - 1), max_size=length)
+    variants = draw(st.lists(edits, min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(variants) - 1), min_size=1, max_size=10))
+    rows = [[variants[p].get(j, base[j]) for j in range(length)] for p in picks]
+    return StringSet([Word(r, Alphabet(sigma)) for r in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(msfbc_sets())
+def test_msfbc_subset_table_matches_reference(sset):
+    for k in range(sset.length + 1):
+        inst = MsfbcInstance(sset, k)
+        assert solve_msfbc_subsets(inst) == ref.solve_msfbc_subsets(inst)
+    budget = 2**sset.size - 1
+    # the budget is checked before anything is built
+    with pytest.raises(BudgetExceededError) as fast, mock.patch.object(exact, "symbol_matrix", None):
+        solve_msfbc_subsets(inst, subset_budget=budget)
+    with pytest.raises(BudgetExceededError) as slow:
+        ref.solve_msfbc_subsets(inst, subset_budget=budget)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_msfbc_subset_table_at_full_budget():
+    # 2^20 subsets: 14 copies of the zero word and 6 words with 3 private ones
+    # each, so k = 7 admits two of those 6 at most
+    deviant = {3: 0, 5: 1, 8: 2, 11: 3, 15: 4, 19: 5}
+    rows = [[int(i in deviant and j // 3 == deviant[i]) for j in range(30)] for i in range(20)]
+    inst = MsfbcInstance(StringSet([Word(r) for r in rows]), 7)
+    res = solve_msfbc_subsets(inst)
+    assert res == ref.solve_msfbc_subsets(inst)
+    assert res.indices == tuple(i for i in range(20) if i not in (8, 11, 15, 19)) and res.bad_column_count == 6
+
+
+def test_cli_msfbc_output_matches_reference(capsys, tmp_path):
+    cases = [MsfbcInstance(random_string_set(sigma, length, n, seed=seed), length // 3)
+             for seed, (sigma, length, n) in enumerate([(2, 9, 12), (3, 25, 10), (4, 6, 14), (2, 40, 8)])]
+    cases.append(reduce_dks_to_msfbc(random_graph(6, 9, seed=1), 3)[0])
+    for i, inst in enumerate(cases):
+        path = tmp_path / f"msfbc-{i}.txt"
+        path.write_text(serialize_strings_instance(inst))
+        assert main(["solve", "msfbc", "-f", str(path), "--algo", "exact", "--recheck"]) == 0
+        res = ref.solve_msfbc_subsets(inst)
+        expected = ["problem=msfbc", "algorithm=exact", f"value={len(res.indices)}",
+                    "indices=" + " ".join(str(j + 1) for j in res.indices), f"bad_columns={res.bad_column_count}",
+                    "recheck=ok"]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
