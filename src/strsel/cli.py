@@ -75,10 +75,7 @@ def _cmd_reduce(args) -> int:
         if auto:
             _emit([("seed", seed)])
     else:
-        g = parse_graph(text)
-        if args.k is None:
-            raise ValueError("dks2msfbc requires --k")
-        inst, cert = reductions.reduce_dks_to_msfbc(g, args.k)
+        inst, cert = reductions.reduce_dks_to_msfbc(parse_graph(text), _k(args, "dks2msfbc"))
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     inst_path = outdir / "instance.txt"
@@ -88,106 +85,112 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _solve_strings(args, text: str):
-    inst = parse_strings_instance(text, problem=args.problem)
-    record = [("problem", args.problem), ("algorithm", args.algo)]
-    if args.algo == "exact":
-        if isinstance(inst, CmsInstance):
-            res = exact.solve_cms_exact(inst)
-        elif isinstance(inst, FfmsInstance):
-            res = exact.solve_ffms_exact(inst)
-        elif isinstance(inst, CksInstance):
-            res = exact.solve_cks_exact(inst)
-        else:
-            res = exact.solve_msfbc_subsets(inst)
-    elif args.algo == "columns":
-        if not isinstance(inst, MsfbcInstance):
-            raise ValueError("--algo columns applies only to msfbc")
-        res = exact.solve_msfbc_columns(inst)
-    elif args.algo == "local":
-        seed, auto = _resolve_seed(args)
-        cfg = heuristics.SearchConfig(seed=seed, restarts=args.restarts, start=args.start)
-        if isinstance(inst, CmsInstance):
-            res = heuristics.local_search_cms(inst, cfg)
-        elif isinstance(inst, FfmsInstance):
-            res = heuristics.local_search_ffms(inst, cfg)
-        else:
-            raise ValueError("--algo local applies to cms and ffms")
-        record.append(("seed", seed))
-    else:
-        raise ValueError(f"unknown algorithm {args.algo!r}")
-
-    if hasattr(res, "center"):
-        record.append(("value", res.value))
-        record.append(("center", res.center))
-        if res.chosen_subset is not None:
-            record.append(("subset", " ".join(str(i + 1) for i in res.chosen_subset)))
-    else:
-        record.append(("value", len(res.indices)))
-        record.append(("indices", " ".join(str(i + 1) for i in res.indices)))
-        record.append(("bad_columns", res.bad_column_count))
-
-    if args.recheck and not _recheck_strings(inst, res):
-        _emit(record)
-        _emit([("recheck", "fail")])
-        return 1
-    if args.recheck:
-        record.append(("recheck", "ok"))
-    _emit(record)
-    return 0
+def _center_fields(res) -> list:
+    pairs = [("value", res.value), ("center", res.center)]
+    if res.chosen_subset is not None:
+        pairs.append(("subset", " ".join(str(i + 1) for i in res.chosen_subset)))
+    return pairs
 
 
-def _recheck_strings(inst, res) -> bool:
-    if isinstance(inst, CmsInstance):
-        return coverage(res.center, inst) == res.value
-    if isinstance(inst, FfmsInstance):
-        return anticoverage(res.center, inst) == res.value
-    if isinstance(inst, CksInstance):
-        radius = max(hamming(res.center, inst.set.words[i]) for i in res.chosen_subset)
-        return radius == res.value
-    chosen = [inst.set.words[i] for i in res.indices]
-    return len(bad_columns(chosen)) == res.bad_column_count and res.bad_column_count <= inst.k
+def _subset_fields(res) -> list:
+    indices = " ".join(str(i + 1) for i in res.indices)
+    return [("value", len(res.indices)), ("indices", indices), ("bad_columns", res.bad_column_count)]
+
+
+def _search_config(args) -> heuristics.SearchConfig:
+    return heuristics.SearchConfig(seed=args.seed, restarts=args.restarts, start=args.start)
+
+
+def _k(args, command: str) -> int:
+    if args.k is None:
+        raise ValueError(f"{command} requires --k")
+    return args.k
+
+
+def _satisfied_clauses(phi, assignment) -> int:
+    """Counted from the clause literals, not by Max2SatInstance.satisfied_count, which the solver uses."""
+    return sum(any(assignment[lit.variable - 1] == lit.positive for lit in clause) for clause in phi.clauses)
+
+
+def _induced_edges(graph, vertices) -> int:
+    """Counted over vertex pairs, not by Graph.induced_edge_count, which the solver uses."""
+    edges = set(graph.edges)
+    return sum(pair in edges for pair in itertools.combinations(vertices, 2))
+
+
+# problem -> (parse: file text -> instance, solvers: --algo -> solver(instance, args),
+#             recheck: (instance, result) -> bool on a path independent of the solvers,
+#             fields: result -> output (key, value) pairs).
+# Every callable looks up the functions it calls when it runs, so that the
+# benchmark's tracer, which rebinds module attributes, sees each call.
+PROBLEMS = {
+    "cms": (
+        lambda text: parse_strings_instance(text, CmsInstance),
+        {
+            "exact": lambda inst, args: exact.solve_cms_exact(inst),
+            "local": lambda inst, args: heuristics.local_search_cms(inst, _search_config(args)),
+        },
+        lambda inst, res: coverage(res.center, inst) == res.value,
+        _center_fields,
+    ),
+    "ffms": (
+        lambda text: parse_strings_instance(text, FfmsInstance),
+        {
+            "exact": lambda inst, args: exact.solve_ffms_exact(inst),
+            "local": lambda inst, args: heuristics.local_search_ffms(inst, _search_config(args)),
+        },
+        lambda inst, res: anticoverage(res.center, inst) == res.value,
+        _center_fields,
+    ),
+    "cks": (
+        lambda text: parse_strings_instance(text, CksInstance),
+        {"exact": lambda inst, args: exact.solve_cks_exact(inst)},
+        lambda inst, res: max(hamming(res.center, inst.set.words[i]) for i in res.chosen_subset) == res.value,
+        _center_fields,
+    ),
+    "msfbc": (
+        lambda text: parse_strings_instance(text, MsfbcInstance),
+        {
+            "exact": lambda inst, args: exact.solve_msfbc_subsets(inst),
+            "columns": lambda inst, args: exact.solve_msfbc_columns(inst),
+        },
+        lambda inst, res: len(bad_columns([inst.set.words[i] for i in res.indices])) == res.bad_column_count
+        and res.bad_column_count <= inst.k,
+        _subset_fields,
+    ),
+    "max2sat": (
+        lambda text: parse_cnf(text),
+        {"exact": lambda phi, args: exact.solve_max2sat_exact(phi)},
+        lambda phi, res: _satisfied_clauses(phi, res[0]) == res[1],
+        lambda res: [("value", res[1]), ("assignment", "".join("1" if v else "0" for v in res[0]))],
+    ),
+    "dks": (
+        lambda text: parse_graph(text),
+        {"exact": lambda graph, args: exact.solve_dks_exact(graph, _k(args, "dks"))},
+        lambda graph, res: _induced_edges(graph, res[0]) == res[1],
+        lambda res: [("value", res[1]), ("vertices", " ".join(map(str, res[0])))],
+    ),
+}
 
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
-    text = Path(args.file).read_text()
-    if args.problem in ("cms", "ffms", "cks", "msfbc"):
-        status = _solve_strings(args, text)
-    elif args.problem == "max2sat":
-        phi = parse_cnf(text)
-        assignment, count = exact.solve_max2sat_exact(phi)
-        record = [
-            ("problem", "max2sat"),
-            ("algorithm", "exact"),
-            ("value", count),
-            ("assignment", "".join("1" if v else "0" for v in assignment)),
-        ]
-        if args.recheck:
-            record.append(("recheck", "ok" if phi.satisfied_count(assignment) == count else "fail"))
-        _emit(record)
-        status = 0 if not args.recheck or phi.satisfied_count(assignment) == count else 1
-    elif args.problem == "dks":
-        g = parse_graph(text)
-        if args.k is None:
-            raise ValueError("dks requires --k")
-        vertices, count = exact.solve_dks_exact(g, args.k)
-        record = [
-            ("problem", "dks"),
-            ("algorithm", "exact"),
-            ("value", count),
-            ("vertices", " ".join(map(str, vertices))),
-        ]
-        status = 0
-        if args.recheck:
-            # counted over vertex pairs, independently of the solver's Graph.induced_edge_count
-            edges = set(g.edges)
-            ok = sum(pair in edges for pair in itertools.combinations(vertices, 2)) == count
-            record.append(("recheck", "ok" if ok else "fail"))
-            status = 0 if ok else 1
-        _emit(record)
-    else:
-        raise ValueError(f"unknown problem {args.problem!r}")
+    parse, solvers, recheck, fields = PROBLEMS[args.problem]
+    inst = parse(Path(args.file).read_text())
+    if args.algo not in solvers:
+        raise ValueError(f"--algo {args.algo} does not apply to {args.problem}; use {' or '.join(solvers)}")
+    record = [("problem", args.problem), ("algorithm", args.algo)]
+    if args.algo == "local":
+        args.seed, _ = _resolve_seed(args)
+        record.append(("seed", args.seed))
+    res = solvers[args.algo](inst, args)
+    record += fields(res)
+    status = 0
+    if args.recheck:
+        ok = recheck(inst, res)
+        record.append(("recheck", "ok" if ok else "fail"))
+        status = 0 if ok else 1
+    _emit(record)
     if args.timing:
         _emit([("wall_time_s", f"{time.perf_counter() - started:.3f}")])
     return status
@@ -201,7 +204,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decide_cks(args) -> int:
-    inst = parse_strings_instance(Path(args.file).read_text(), problem="cks")
+    inst = parse_strings_instance(Path(args.file).read_text(), CksInstance)
     spec = args.oracle
     if spec == "exact":
         oracle = fpt.exact_oracle
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_reduce)
 
     g = sub.add_parser("solve", help="solve an instance")
-    g.add_argument("problem", choices=["cms", "ffms", "cks", "msfbc", "max2sat", "dks"])
+    g.add_argument("problem", choices=list(PROBLEMS))
     g.add_argument("--algo", default="exact", choices=["exact", "columns", "local"])
     g.add_argument("-f", "--file", required=True)
     g.add_argument("--k", type=int)

@@ -5,15 +5,15 @@ instance exceeds their enumeration budget rather than truncating.
 Tie-breaking is lexicographic everywhere (smallest center, then smallest
 index list), which makes every solver deterministic.
 
-The center solvers (CMS, FFMS, CkS) share one skeleton and one numpy
-distance kernel, :func:`distances`, over packed string sets: an unsigned
-integer per word when binary, a ``uint8`` symbol matrix otherwise. All
-sigma^l centers are enumerated as blocks of consecutive lexicographic
-indices, and each block is scored at once. A :class:`Word` is built only for
-the winning center. ``--recheck``, :func:`words.hamming`,
-:func:`words.coverage` and :func:`words.anticoverage` stay per-word Python,
-so they re-score that winner on an independent path. The kernel lives here
-rather than in :mod:`words` so that ``import strsel`` does not load numpy.
+Every solver reads a string set through :func:`symbol_matrix`, an (n, l)
+``uint8`` view of its row buffer, or :func:`packed`, one unsigned integer
+per word when binary. The center solvers (CMS, FFMS, CkS) share one skeleton
+and one numpy distance kernel, :func:`distances`, over blocks of consecutive
+lexicographic center indices. A :class:`Word` is built only for the winning
+center. ``--recheck``, :func:`words.hamming`, :func:`words.coverage` and
+:func:`words.anticoverage` stay per-word Python, so they re-score that
+winner on an independent path. numpy stays out of :mod:`words`, so that
+``import strsel`` does not load it.
 """
 
 from __future__ import annotations
@@ -50,16 +50,21 @@ class SubsetResult:
 
 
 def symbol_matrix(sset: StringSet) -> np.ndarray:
-    """The words as an (n, l) ``uint8`` symbol matrix."""
-    return np.array([w.symbols for w in sset], dtype=np.uint8)
+    """The words as a read-only (n, l) ``uint8`` symbol matrix: a view of the
+    set's row buffer, not a copy."""
+    return np.frombuffer(sset.rows, dtype=np.uint8).reshape(-1, sset.length)
 
 
 def packed(sset: StringSet) -> np.ndarray:
     """The words as a :func:`distances` operand: one unsigned integer per word
-    when binary (length at most 64), else their :func:`symbol_matrix`."""
-    if sset.alphabet.is_binary:
-        return np.array([w.bits for w in sset], dtype=_bits_dtype(sset.length))
-    return symbol_matrix(sset)
+    when binary (length at most 64, column 0 as the most significant bit),
+    else their :func:`symbol_matrix`."""
+    matrix = symbol_matrix(sset)
+    if not sset.alphabet.is_binary:
+        return matrix
+    dtype = _bits_dtype(sset.length)
+    shifts = np.arange(sset.length - 1, -1, -1, dtype=dtype)
+    return np.bitwise_or.reduce(matrix.astype(dtype) << shifts, axis=1)
 
 
 def _bits_dtype(length: int) -> np.dtype:

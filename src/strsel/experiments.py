@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact
-from .exact import block_rows, distances
+from .exact import block_rows, distances, packed
 from .reductions import (
     Max2SatInstance,
     NonCanonicalCenterError,
@@ -25,7 +25,7 @@ from .reductions import (
     reduce_max2sat_to_cms,
 )
 from .rng import derive_seed
-from .words import Word
+from .words import StringSet, Word
 
 
 def _pair_mask(n: int) -> int:
@@ -61,20 +61,20 @@ def _far_counts(s_arr: np.ndarray, f_arr: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def structural_property_holds(fixing, n: int, m: int):
+def structural_property_holds(fixing: StringSet, n: int, m: int):
     """Check the fixing-string property for a concrete set F: every
     non-canonical word must be at distance > n from at least m strings of F.
 
     Returns (holds, witness word or None, witness's far-string count).
     """
-    f_arr = np.asarray([w.bits for w in fixing], dtype=np.uint32)
+    f_arr = packed(fixing)
     s_arr = noncanonical_words(n)
     counts = _far_counts(s_arr, f_arr, n)
     bad = np.nonzero(counts < m)[0]
     if len(bad) == 0:
         return True, None, None
     i = int(bad[0])
-    return False, Word.from_bits(int(s_arr[i]), 2 * n), int(counts[i])
+    return False, Word.from_index(int(s_arr[i]), 2 * n), int(counts[i])
 
 
 @dataclass(frozen=True)

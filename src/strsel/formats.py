@@ -7,15 +7,17 @@ valid object.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .reductions import Graph, Literal, Max2SatInstance, ReductionCertificate
 from .words import (
     Alphabet,
     CksInstance,
     CmsInstance,
     FfmsInstance,
+    ItemError,
     MsfbcInstance,
     StringSet,
-    Word,
 )
 
 
@@ -39,21 +41,21 @@ def _int(token: str, lineno: int, what: str, least: int | None = None) -> int:
     return value
 
 
-# problem name -> (instance type, parameter letter)
-PROBLEMS = {
-    "cms": (CmsInstance, "d"),
-    "ffms": (FfmsInstance, "d"),
-    "cks": (CksInstance, "k"),
-    "msfbc": (MsfbcInstance, "k"),
-}
+def _checked(build, item_lines: list):
+    """``build()``, with the constructor's :class:`ItemError` about item i
+    reported as a ParseError on line ``item_lines[i]``."""
+    try:
+        return build()
+    except ItemError as e:
+        raise ParseError(item_lines[e.index], str(e)) from None
 
 
-def parse_strings_instance(text: str, problem: str | None = None):
-    """Parse a string-set instance.
+def parse_strings_instance(text: str, kind: type | None = None):
+    """Parse a string-set instance of type ``kind``.
 
-    Grammar: ``strings <sigma> <l> <n>`` / ``param <d|k> <value>`` / n rows.
-    When ``problem`` is omitted, a ``d`` parameter yields a CmsInstance and a
-    ``k`` parameter a CksInstance.
+    Grammar: ``strings <sigma> <l> <n>`` / ``param <d|k> <value>`` / n rows,
+    blank lines skipped. When ``kind`` is omitted, a ``d`` parameter yields a
+    CmsInstance and a ``k`` parameter a CksInstance.
     """
     lines = _lines(text)
     if not lines or not lines[0]:
@@ -70,43 +72,29 @@ def parse_strings_instance(text: str, problem: str | None = None):
     letter = parts[1]
     value = _int(parts[2], 2, "parameter value")
 
-    alphabet = Alphabet(sigma)
-    words = []
-    body = [ln for ln in lines[2:] if ln]
-    if len(body) != n:
-        raise ParseError(len(lines), f"expected {n} strings, found {len(body)}")
-    for i, row in enumerate(body):
-        if len(row) != length:
-            raise ParseError(3 + i, f"string {i + 1} has length {len(row)}, expected {length}")
-        try:
-            words.append(Word.from_text(row, alphabet))
-        except ValueError as e:
-            raise ParseError(3 + i, str(e)) from None
-    sset = StringSet(words, alphabet)
+    row_lines = [no for no, ln in enumerate(lines[2:], start=3) if ln]
+    if len(row_lines) != n:
+        raise ParseError(len(lines), f"expected {n} strings, found {len(row_lines)}")
+    rows = [lines[no - 1] for no in row_lines]
+    sset = _checked(lambda: StringSet.from_texts(rows, Alphabet(sigma), length), row_lines)
 
-    if problem is None:
-        problem = "cms" if letter == "d" else "cks"
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
-    cls, expected_letter = PROBLEMS[problem]
-    if letter != expected_letter:
-        raise ParseError(2, f"problem {problem} needs parameter '{expected_letter}', file has '{letter}'")
+    if kind is None:
+        kind = CmsInstance if letter == "d" else CksInstance
+    expected = fields(kind)[1].name  # the parameter's field follows ``set``
+    if letter != expected:
+        raise ParseError(2, f"{kind.__name__} needs parameter '{expected}', file has '{letter}'")
     try:
-        return cls(sset, value)
+        return kind(sset, value)
     except ValueError as e:
         raise ParseError(2, str(e)) from None
 
 
 def serialize_strings_instance(inst) -> str:
-    for name, (cls, letter) in PROBLEMS.items():
-        if type(inst) is cls:
-            break
-    else:
+    if not isinstance(inst, (CmsInstance, FfmsInstance, CksInstance, MsfbcInstance)):
         raise ValueError(f"not a string-set instance: {inst!r}")
-    sset = inst.set
-    value = getattr(inst, letter)
-    rows = "\n".join(str(w) for w in sset.words)
-    return f"strings {sset.alphabet.size} {sset.length} {sset.size}\nparam {letter} {value}\n{rows}\n"
+    sset, letter = inst.set, fields(inst)[1].name
+    rows = "\n".join(sset.texts())
+    return f"strings {sset.alphabet.size} {sset.length} {sset.size}\nparam {letter} {getattr(inst, letter)}\n{rows}\n"
 
 
 def parse_cnf(text: str) -> Max2SatInstance:
@@ -114,7 +102,7 @@ def parse_cnf(text: str) -> Max2SatInstance:
     ``<lit> <lit> 0``. Tautological clauses are rejected."""
     lines = _lines(text)
     n = m = None
-    clauses = []
+    clauses, clause_lines = [], []
     for lineno, ln in enumerate(lines, start=1):
         if not ln or ln.startswith("c"):
             continue
@@ -129,21 +117,16 @@ def parse_cnf(text: str) -> Max2SatInstance:
         parts = ln.split()
         if len(parts) != 3 or parts[2] != "0":
             raise ParseError(lineno, f"expected '<lit> <lit> 0', got {ln!r}")
-        lits = []
-        for tok in parts[:2]:
-            v = _int(tok, lineno, "literal")
-            if v == 0 or abs(v) > n:
-                raise ParseError(lineno, f"literal {tok} outside variable range 1..{n}")
-            lits.append(Literal(abs(v), v > 0))
-        a, b = lits
-        if a.variable == b.variable and a.positive != b.positive:
-            raise ParseError(lineno, f"clause {len(clauses) + 1} is a tautology")
-        clauses.append((a, b))
+        a, b = (_int(tok, lineno, "literal") for tok in parts[:2])
+        clauses.append((Literal(abs(a), a > 0), Literal(abs(b), b > 0)))
+        clause_lines.append(lineno)
     if n is None:
         raise ParseError(len(lines) or 1, "missing 'p cnf' header")
+    # a bad clause names its line ahead of a wrong count; no clause at all (m >= 1) is a wrong count
+    phi = _checked(lambda: Max2SatInstance(variable_count=n, clauses=tuple(clauses)), clause_lines) if clauses else None
     if len(clauses) != m:
         raise ParseError(len(lines), f"header promises {m} clauses, found {len(clauses)}")
-    return Max2SatInstance(variable_count=n, clauses=tuple(clauses))
+    return phi
 
 
 def serialize_cnf(phi: Max2SatInstance) -> str:
@@ -159,8 +142,7 @@ def parse_graph(text: str) -> Graph:
     """DIMACS edge format: ``p edge <V> <E>`` then lines ``e <u> <v>``."""
     lines = _lines(text)
     v = e = None
-    edges = []
-    seen = set()
+    edges, edge_lines = [], []
     for lineno, ln in enumerate(lines, start=1):
         if not ln or ln.startswith("c"):
             continue
@@ -178,20 +160,14 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 'e <u> <v>', got {ln!r}")
         a, b = _int(parts[1], lineno, "endpoint"), _int(parts[2], lineno, "endpoint")
-        if a == b:
-            raise ParseError(lineno, f"loop edge ({a},{b})")
-        if not (1 <= a <= v and 1 <= b <= v):
-            raise ParseError(lineno, f"edge ({a},{b}) outside vertex range 1..{v}")
-        pair = (min(a, b), max(a, b))
-        if pair in seen:
-            raise ParseError(lineno, f"duplicate edge ({a},{b})")
-        seen.add(pair)
-        edges.append(pair)
+        edges.append((min(a, b), max(a, b)))
+        edge_lines.append(lineno)
     if v is None:
         raise ParseError(len(lines) or 1, "missing 'p edge' header")
+    graph = _checked(lambda: Graph(vertex_count=v, edges=tuple(edges)), edge_lines)
     if len(edges) != e:
         raise ParseError(len(lines), f"header promises {e} edges, found {len(edges)}")
-    return Graph(vertex_count=v, edges=tuple(edges))
+    return graph
 
 
 def serialize_graph(g: Graph) -> str:

@@ -12,12 +12,12 @@ not need an oracle at all: the radius is 0 iff some word occurs k times.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable
 
 import numpy as np
 
 from .exact import DEFAULT_ENUM_BUDGET, CenterResult, _center_scores, _cks_result, _kth_smallest, solve_cks_exact
+from .exact import symbol_matrix
 from .rng import SplitMix64
 from .words import CksInstance, hamming
 
@@ -48,8 +48,8 @@ def decide_cks(inst: CksInstance, d: int, oracle: ApproxOracle) -> bool:
     if d < 0:
         raise ValueError("d must be >= 0")
     if d == 0:
-        counts = Counter(inst.set.words)
-        return max(counts.values()) >= inst.k
+        _, counts = np.unique(symbol_matrix(inst.set), axis=0, return_counts=True)
+        return int(counts.max()) >= inst.k
     result = oracle(inst, epsilon_for(d))
     d_alg = _validate_oracle_result(inst, result)
     return d_alg <= d

@@ -6,7 +6,7 @@ from math import comb
 
 from .reductions import Graph, Literal, Max2SatInstance
 from .rng import SplitMix64
-from .words import Alphabet, StringSet, Word
+from .words import Alphabet, StringSet
 
 
 def random_max2sat(n: int, m: int, seed: int) -> Max2SatInstance:
@@ -38,9 +38,6 @@ def random_graph(vertex_count: int, edge_count: int, seed: int) -> Graph:
 
 
 def random_string_set(sigma: int, length: int, n: int, seed: int) -> StringSet:
+    """n uniform words of the given length, drawn symbol by symbol, row by row."""
     rng = SplitMix64(seed)
-    alphabet = Alphabet(sigma)
-    words = [
-        Word([rng.next_below(sigma) for _ in range(length)], alphabet) for _ in range(n)
-    ]
-    return StringSet(words, alphabet)
+    return StringSet(Alphabet(sigma), length, bytes(rng.next_below(sigma) for _ in range(n * length)))

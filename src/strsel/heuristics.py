@@ -44,7 +44,7 @@ class SearchConfig:
 
 def _start_symbols(sset: StringSet, cfg: SearchConfig, restart: int) -> Sequence[int]:
     if cfg.start == "inputs":
-        return sset.words[restart % sset.size].symbols
+        return symbol_matrix(sset)[restart % sset.size]
     rng = SplitMix64(derive_seed(cfg.seed, restart))
     if cfg.start == "random":
         return [rng.next_below(sset.alphabet.size) for _ in range(sset.length)]

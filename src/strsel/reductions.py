@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .rng import SplitMix64
-from .words import CmsInstance, MsfbcInstance, StringSet, Word, bad_columns, hamming
+from .words import BINARY, CmsInstance, ItemError, MsfbcInstance, StringSet, Word, bad_columns, hamming
 
 
 class NonCanonicalCenterError(Exception):
@@ -28,12 +28,8 @@ class NonCanonicalCenterError(Exception):
 
 @dataclass(frozen=True)
 class Literal:
-    variable: int  # 1-based
+    variable: int  # 1-based; Max2SatInstance checks the range
     positive: bool
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise ValueError("variable index must be >= 1")
 
     def value(self, assignment) -> bool:
         v = assignment[self.variable - 1]
@@ -57,21 +53,17 @@ class Max2SatInstance:
         if not self.clauses:
             raise ValueError("need at least one clause")
         for j, (a, b) in enumerate(self.clauses):
-            if a.variable > self.variable_count or b.variable > self.variable_count:
-                raise ValueError(f"clause {j + 1} uses a variable above n={self.variable_count}")
+            if not (1 <= a.variable <= self.variable_count and 1 <= b.variable <= self.variable_count):
+                raise ItemError(j, f"clause {j + 1} uses a variable outside the range 1..{self.variable_count}")
             if a.variable == b.variable and a.positive != b.positive:
-                raise ValueError(f"clause {j + 1} is a tautology (x and ~x on variable {a.variable})")
+                raise ItemError(j, f"clause {j + 1} is a tautology (x and ~x on variable {a.variable})")
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
 
-    def clause_satisfied(self, j: int, assignment) -> bool:
-        a, b = self.clauses[j]
-        return a.value(assignment) or b.value(assignment)
-
     def satisfied_count(self, assignment) -> int:
-        return sum(self.clause_satisfied(j, assignment) for j in range(len(self.clauses)))
+        return sum(a.value(assignment) or b.value(assignment) for a, b in self.clauses)
 
 
 @dataclass(frozen=True)
@@ -83,15 +75,15 @@ class Graph:
 
     def __post_init__(self):
         seen = set()
-        for (u, v) in self.edges:
+        for j, (u, v) in enumerate(self.edges):
             if u == v:
-                raise ValueError(f"loop edge ({u},{v}) not allowed in a simple graph")
+                raise ItemError(j, f"loop edge ({u},{v}) not allowed in a simple graph")
             if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 1..{self.vertex_count}")
+                raise ItemError(j, f"edge ({u},{v}) outside vertex range 1..{self.vertex_count}")
             if u > v:
-                raise ValueError(f"edge ({u},{v}) must be stored with u < v")
+                raise ItemError(j, f"edge ({u},{v}) must be stored with u < v")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise ItemError(j, f"duplicate edge ({u},{v})")
             seen.add((u, v))
 
     @property
@@ -170,19 +162,15 @@ def decode_center(s: Word) -> tuple:
     return tuple(out)
 
 
-def fixing_strings(count: int, n: int, seed: int) -> list:
-    """``count`` random words from {01,10}^n, deterministic given ``seed``."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+_BLOCKS = ((0, 1), (1, 0))
+
+
+def fixing_strings(count: int, n: int, seed: int) -> StringSet:
+    """``count`` random words from {01,10}^n, deterministic given ``seed``:
+    one draw per block, block 01 for a 0 draw and 10 for a 1 draw, in
+    reading order."""
     rng = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        bits = 0
-        for _ in range(n):
-            # block 01 for a 0 draw, 10 for a 1 draw, first block most significant
-            bits = (bits << 2) | (0b10 if rng.next_bit() else 0b01)
-        out.append(Word.from_bits(bits, 2 * n))
-    return out
+    return StringSet(BINARY, 2 * n, bytes(c for _ in range(count * n) for c in _BLOCKS[rng.next_bit()]))
 
 
 def clause_distance_identity(assignment, clause: Clause, n: int) -> int:
@@ -203,12 +191,11 @@ def reduce_max2sat_to_cms(phi: Max2SatInstance, c: int = 20, seed: int = 0):
     if c < 1:
         raise ValueError("c must be >= 1")
     fixing = fixing_strings(c * m, n, seed)
-    clause_words = [clause_string(cl, n) for cl in phi.clauses]
-    words = fixing + clause_words
-    inst = CmsInstance(set=StringSet(words), d=n)
+    clauses = b"".join(bytes(clause_string(cl, n).symbols) for cl in phi.clauses)
+    inst = CmsInstance(set=StringSet(BINARY, 2 * n, fixing.rows + clauses), d=n)
     index_map = tuple(
-        [(i, "fixing", str(i)) for i in range(len(fixing))]
-        + [(len(fixing) + j, "clause", str(j)) for j in range(m)]
+        [(i, "fixing", str(i)) for i in range(fixing.size)]
+        + [(fixing.size + j, "clause", str(j)) for j in range(m)]
     )
     cert = ReductionCertificate(
         source="max2sat", seed=seed, parameters={"c": c, "d": n}, index_map=index_map
@@ -237,7 +224,7 @@ def reduce_dks_to_msfbc(graph: Graph, k: int):
     words = [incidence_vector(e, graph.vertex_count) for e in graph.edges]
     zero = Word([0] * graph.vertex_count)
     words.append(zero)
-    inst = MsfbcInstance(set=StringSet(words), k=k)
+    inst = MsfbcInstance(set=StringSet.from_words(words), k=k)
     index_map = tuple(
         [(i, "edge", f"{u},{v}") for i, (u, v) in enumerate(graph.edges)]
         + [(len(graph.edges), "zero", "0")]

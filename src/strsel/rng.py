@@ -40,9 +40,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.next_below(len(seq))]
-
     def shuffle(self, items: list):
         for i in range(len(items) - 1, 0, -1):
             j = self.next_below(i + 1)

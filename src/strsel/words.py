@@ -3,14 +3,19 @@
 Column indices are 0-based everywhere inside the library; only rendered
 output (CLI, reports) uses 1-based columns.
 
-Binary words are stored bit-packed (column 0 is the most significant bit,
-so integer order on the packed value equals lexicographic order on the
-symbols); larger alphabets store one small integer per symbol.
+A :class:`Word` holds one small integer per symbol, whatever the alphabet;
+its packed binary form (``bits``, column 0 as the most significant bit, so
+that integer order is lexicographic order) is computed when read. A
+:class:`StringSet` stores all its words once, as one buffer of symbol codes.
+Everything here is pure Python: it is the independent per-word path that
+re-checks the numpy solvers in :mod:`exact`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import ne
 from typing import Iterable, Sequence
 
 SYMBOL_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -35,6 +40,16 @@ class Alphabet:
 BINARY = Alphabet(2)
 
 
+class ItemError(ValueError):
+    """A ValueError about one item of a collection (a string set's row, a
+    formula's clause, a graph's edge); ``index`` is 0-based, so that a parser
+    can name the item's line."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class Word:
     """Immutable fixed-length word over an :class:`Alphabet`.
 
@@ -42,67 +57,55 @@ class Word:
     solver tie-break in this package relies on.
     """
 
-    __slots__ = ("alphabet", "length", "_bits", "_symbols")
+    __slots__ = ("alphabet", "_symbols")
 
     def __init__(self, symbols: Sequence[int], alphabet: Alphabet = BINARY):
-        symbols = tuple(int(c) for c in symbols)
+        symbols = tuple(map(int, symbols))
         if len(symbols) < 1:
             raise ValueError("word length must be >= 1")
-        for j, c in enumerate(symbols):
-            if not 0 <= c < alphabet.size:
-                raise ValueError(f"symbol {c} at column {j} outside alphabet of size {alphabet.size}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "length", len(symbols))
-        object.__setattr__(self, "_symbols", symbols)
-        if alphabet.is_binary:
-            bits = 0
-            for c in symbols:
-                bits = (bits << 1) | c
-            object.__setattr__(self, "_bits", bits)
-        else:
-            object.__setattr__(self, "_bits", None)
+        if min(symbols) < 0 or max(symbols) >= alphabet.size:
+            raise _outside_alphabet(symbols, alphabet, len(symbols))
+        self.alphabet = alphabet
+        self._symbols = symbols
 
     @classmethod
-    def from_bits(cls, bits: int, length: int) -> "Word":
-        """Binary word from a packed integer (column 0 = MSB)."""
+    def _of(cls, symbols: tuple, alphabet: Alphabet) -> "Word":
+        """The word of ``symbols``, already known to lie in ``alphabet``."""
         w = cls.__new__(cls)
-        object.__setattr__(w, "alphabet", BINARY)
-        object.__setattr__(w, "length", length)
-        object.__setattr__(w, "_bits", bits)
-        object.__setattr__(w, "_symbols", tuple((bits >> (length - 1 - j)) & 1 for j in range(length)))
+        w.alphabet, w._symbols = alphabet, symbols
         return w
 
     @classmethod
     def from_index(cls, index: int, length: int, alphabet: Alphabet = BINARY) -> "Word":
-        """The word at position ``index`` of the lexicographic order."""
-        if alphabet.is_binary:
-            return cls.from_bits(index, length)
+        """The word at position ``index`` of the lexicographic order; for a
+        binary word, its packed bits (column 0 = MSB)."""
         symbols = []
         for _ in range(length):
             index, c = divmod(index, alphabet.size)
             symbols.append(c)
-        return cls(reversed(symbols), alphabet)
+        return cls._of(tuple(reversed(symbols)), alphabet)
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet = BINARY) -> "Word":
-        try:
-            symbols = [SYMBOL_CHARS.index(ch) for ch in text]
-        except ValueError:
-            raise ValueError(f"unrecognized symbol character in {text!r}") from None
-        return cls(symbols, alphabet)
+        return StringSet.from_texts([text], alphabet).words[0]
 
     @property
     def symbols(self) -> tuple:
         return self._symbols
 
     @property
+    def length(self) -> int:
+        return len(self._symbols)
+
+    @property
     def bits(self) -> int:
-        if self._bits is None:
+        """The packed binary word (column 0 = MSB)."""
+        if not self.alphabet.is_binary:
             raise ValueError("bit representation only exists for binary words")
-        return self._bits
+        return int(str(self), 2)
 
     def __len__(self):
-        return self.length
+        return len(self._symbols)
 
     def __getitem__(self, j):
         return self._symbols[j]
@@ -130,69 +133,115 @@ class Word:
         return f"Word({str(self)!r}, sigma={self.alphabet.size})"
 
 
+def _outside_alphabet(symbols: Sequence[int], alphabet: Alphabet, length: int) -> ItemError:
+    """The error for the first of ``symbols`` (rows of ``length`` symbol
+    codes) outside ``alphabet``, naming its row and 1-based column."""
+    k, c = next((k, c) for k, c in enumerate(symbols) if not 0 <= c < alphabet.size)
+    i, j = divmod(k, length)
+    shown = repr(SYMBOL_CHARS[c]) if 0 <= c < MAX_ALPHABET else c
+    return ItemError(i, f"symbol {shown} at column {j + 1} outside alphabet of size {alphabet.size}")
+
+
 def _check_compatible(a: Word, b: Word):
     if a.alphabet != b.alphabet:
         raise ValueError("words are over different alphabets")
-    if a.length != b.length:
+    if len(a._symbols) != len(b._symbols):
         raise ValueError(f"word lengths differ: {a.length} vs {b.length}")
 
 
 def hamming(a: Word, b: Word) -> int:
     """Number of mismatched positions between two equal-length words."""
     _check_compatible(a, b)
-    if a.alphabet.is_binary:
-        return (a.bits ^ b.bits).bit_count()
-    return sum(x != y for x, y in zip(a.symbols, b.symbols))
+    return sum(map(ne, a._symbols, b._symbols))
 
 
 def complement(s: Word) -> Word:
     """Flip every bit of a binary word (an involution)."""
     if not s.alphabet.is_binary:
         raise ValueError("complement is defined only over the binary alphabet")
-    mask = (1 << s.length) - 1
-    return Word.from_bits(s.bits ^ mask, s.length)
+    return Word([1 - c for c in s.symbols])
+
+
+# symbol character -> symbol code, 255 for a byte that is no symbol character
+_CODES = bytes(SYMBOL_CHARS.find(chr(b)) % 256 for b in range(256))
+# symbol code -> symbol character
+_CHARS = bytes.maketrans(bytes(range(MAX_ALPHABET)), SYMBOL_CHARS.encode())
 
 
 @dataclass(frozen=True)
 class StringSet:
     """An ordered collection of equal-length words over one alphabet.
 
-    Duplicates are allowed and counted with multiplicity.
+    Duplicates are allowed and counted with multiplicity. The words are
+    stored once, as ``rows``: the n*l symbol codes of all words, row by row.
+    ``exact.symbol_matrix`` views that buffer as an (n, l) array; ``words``
+    builds :class:`Word` objects from it for the per-word paths.
     """
 
     alphabet: Alphabet
     length: int
-    words: tuple
+    rows: bytes
 
-    def __init__(self, words: Iterable[Word], alphabet: Alphabet | None = None):
-        words = tuple(words)
-        if not words:
+    def __post_init__(self):
+        if self.length < 1:
+            raise ValueError("word length must be >= 1")
+        if not self.rows:
             raise ValueError("a StringSet needs at least one word")
-        if alphabet is None:
-            alphabet = words[0].alphabet
-        length = words[0].length
-        for i, w in enumerate(words):
-            if w.alphabet != alphabet:
-                raise ValueError(f"string {i + 1} is over a different alphabet")
-            if w.length != length:
-                raise ValueError(f"string {i + 1} has length {w.length}, expected {length}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "words", words)
+        if len(self.rows) % self.length:
+            raise ValueError(f"{len(self.rows)} symbols do not fill rows of length {self.length}")
+        if self.rows.translate(None, bytes(range(self.alphabet.size))):
+            raise _outside_alphabet(self.rows, self.alphabet, self.length)
 
     @classmethod
-    def from_texts(cls, texts: Iterable[str], alphabet: Alphabet = BINARY) -> "StringSet":
-        return cls([Word.from_text(t, alphabet) for t in texts])
+    def from_texts(cls, texts: Iterable[str], alphabet: Alphabet = BINARY, length: int | None = None) -> "StringSet":
+        """The set of the words spelt by ``texts``, each of ``length`` symbol
+        characters (by default, as many as the first has)."""
+        texts = list(texts)
+        if not texts:
+            raise ValueError("a StringSet needs at least one word")
+        if length is None:
+            length = len(texts[0])
+        if set(map(len, texts)) != {length}:
+            i = next(i for i, t in enumerate(texts) if len(t) != length)
+            raise ItemError(i, f"string {i + 1} has length {len(texts[i])}, expected {length}")
+        rows = "".join(texts).encode("ascii", "replace").translate(_CODES)
+        if 255 in rows:
+            i, j = divmod(rows.index(255), length)
+            raise ItemError(i, f"unrecognized symbol character {texts[i][j]!r} at column {j + 1}")
+        return cls(alphabet, length, rows)
+
+    @classmethod
+    def from_words(cls, words: Iterable[Word]) -> "StringSet":
+        """The set of ``words``, all over the first's alphabet and of its length."""
+        words = list(words)
+        if not words:
+            raise ValueError("a StringSet needs at least one word")
+        first = words[0]
+        for i, w in enumerate(words):
+            if w.alphabet != first.alphabet or w.length != first.length:
+                raise ItemError(i, f"string {i + 1} differs from string 1 in alphabet or length")
+        return cls(first.alphabet, first.length, bytes(c for w in words for c in w.symbols))
+
+    def texts(self) -> list:
+        """Each word as its symbol characters."""
+        text = self.rows.translate(_CHARS).decode("ascii")
+        return [text[i : i + self.length] for i in range(0, len(text), self.length)]
+
+    @cached_property
+    def words(self) -> tuple:
+        """The words as :class:`Word` objects, built on first use."""
+        step = self.length
+        return tuple(Word._of(tuple(self.rows[i : i + step]), self.alphabet) for i in range(0, len(self.rows), step))
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.rows) // self.length
 
     def __iter__(self):
         return iter(self.words)
 
     def __len__(self):
-        return len(self.words)
+        return self.size
 
 
 def bad_columns(words: Iterable[Word]) -> frozenset:
@@ -200,25 +249,9 @@ def bad_columns(words: Iterable[Word]) -> frozenset:
     words = list(words)
     if not words:
         raise ValueError("bad_columns needs a non-empty collection of words")
-    first = words[0]
-    if first.alphabet.is_binary:
-        mask = (1 << first.length) - 1
-        ones = mask
-        zeros = mask
-        for w in words:
-            _check_compatible(first, w)
-            ones &= w.bits
-            zeros &= w.bits ^ mask
-        bad = mask & ~(ones | zeros)
-        n = first.length
-        return frozenset(j for j in range(n) if (bad >> (n - 1 - j)) & 1)
-    bad = set()
     for w in words[1:]:
-        _check_compatible(first, w)
-        for j in range(first.length):
-            if w[j] != first[j]:
-                bad.add(j)
-    return frozenset(bad)
+        _check_compatible(words[0], w)
+    return frozenset(j for j, column in enumerate(zip(*(w.symbols for w in words))) if len(set(column)) > 1)
 
 
 def _check_instance_word(s: Word, sset: StringSet):

@@ -37,7 +37,7 @@ def enumerate_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All words of the given length in lexicographic order."""
     if alphabet.is_binary:
         for bits in range(1 << length):
-            yield Word.from_bits(bits, length)
+            yield Word.from_index(bits, length)
     else:
         for symbols in itertools.product(range(alphabet.size), repeat=length):
             yield Word(symbols, alphabet)

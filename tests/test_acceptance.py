@@ -12,6 +12,7 @@ from strsel import (
     CmsInstance,
     FfmsInstance,
     MsfbcInstance,
+    StringSet,
     Word,
     bad_columns,
     coverage,
@@ -87,7 +88,7 @@ def test_criterion_03_reduction_optimum_equality():
     checked = 0
     for phi, inst, cert in _reduction_cases(50, 2, 4, MASTER_SEED + 1):
         n, m = phi.variable_count, phi.clause_count
-        fixing = inst.set.words[: 20 * m]
+        fixing = StringSet.from_words(inst.set.words[: 20 * m])
         holds, _, _ = structural_property_holds(fixing, n, m)
         if not holds:
             continue

@@ -218,3 +218,30 @@ def test_oracle_contract_error_exits_1(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert status == 1
     assert captured.out == "" and captured.err == "error: oracle must return a subset of exactly k strings\n"
+
+
+@pytest.mark.parametrize(
+    "problem, algo", [("max2sat", "local"), ("max2sat", "columns"), ("dks", "local"), ("dks", "columns"),
+                      ("cks", "local"), ("cms", "columns")]
+)
+def test_solve_rejects_an_algorithm_the_problem_lacks(capsys, tmp_path, problem, algo):
+    texts = {"max2sat": "p cnf 2 1\n1 2 0\n", "dks": K3, "cks": "strings 2 2 3\nparam k 2\n00\n01\n11\n", "cms": CMS}
+    p = tmp_path / "input.txt"
+    p.write_text(texts[problem])
+    status = main(["solve", problem, "-f", str(p), "--algo", algo, "--k", "2"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == "" and captured.err.startswith(f"error: --algo {algo} does not apply to {problem}")
+
+
+def test_solve_max2sat_recheck_is_independent_of_the_solver(capsys, tmp_path, monkeypatch):
+    from strsel.reductions import Max2SatInstance
+
+    p = tmp_path / "phi.cnf"
+    p.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
+    assert status == 0 and as_dict(out)["recheck"] == "ok"
+    satisfied_count = Max2SatInstance.satisfied_count
+    monkeypatch.setattr(Max2SatInstance, "satisfied_count", lambda self, a: satisfied_count(self, a) + 1)
+    status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
+    assert status == 1 and as_dict(out)["recheck"] == "fail"

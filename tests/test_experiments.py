@@ -27,7 +27,7 @@ def slow_noncanonical(n):
     """Oracle: words of length 2n with at least one block outside {00,11}."""
     out = []
     for bits in range(4**n):
-        word = Word.from_bits(bits, 2 * n)
+        word = Word.from_index(bits, 2 * n)
         blocks = [(word[2 * i], word[2 * i + 1]) for i in range(n)]
         if any(b in ((0, 1), (1, 0)) for b in blocks):
             out.append(word)
@@ -44,7 +44,7 @@ def test_noncanonical_enumeration_matches_oracle():
 
 def test_all_fixing_words_enumeration():
     for n in (1, 2, 3):
-        words = [Word.from_bits(int(b), 2 * n) for b in all_fixing_words(n)]
+        words = [Word.from_index(int(b), 2 * n) for b in all_fixing_words(n)]
         assert len(words) == 2**n
         for w in words:
             for i in range(n):
@@ -63,7 +63,7 @@ class TestQuarterBound:
 
     def test_slow_oracle_n2(self):
         # independent enumeration with Word-level hamming
-        fs = [Word.from_bits(int(b), 4) for b in all_fixing_words(2)]
+        fs = [Word.from_index(int(b), 4) for b in all_fixing_words(2)]
         minimum = 1.0
         for s in slow_noncanonical(2):
             frac = sum(hamming(s, f) >= 3 for f in fs) / len(fs)

@@ -1,8 +1,10 @@
 """Parsers and serializers: round trips and line-precise errors."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from strsel import CksInstance, CmsInstance, FfmsInstance, MsfbcInstance
+from strsel import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet
 from strsel.formats import (
     ParseError,
     parse_cnf,
@@ -15,6 +17,19 @@ from strsel.formats import (
 )
 from strsel.gen import random_graph, random_max2sat, random_string_set
 from strsel.reductions import Graph, reduce_dks_to_msfbc, reduce_max2sat_to_cms
+from strsel.words import SYMBOL_CHARS
+
+
+@st.composite
+def string_instances(draw):
+    """Any string-set instance, over every alphabet size the format allows."""
+    sigma = draw(st.integers(2, len(SYMBOL_CHARS)))
+    length, n = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    row = st.text(SYMBOL_CHARS[:sigma], min_size=length, max_size=length)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    kind = draw(st.sampled_from([CmsInstance, FfmsInstance, CksInstance, MsfbcInstance]))
+    value = draw(st.integers(1, n) if kind is CksInstance else st.integers(0, length))
+    return kind(StringSet.from_texts(rows, Alphabet(sigma)), value), rows
 
 
 class TestStringsFormat:
@@ -36,10 +51,10 @@ class TestStringsFormat:
 
     def test_problem_selection(self):
         text = "strings 2 3 2\nparam k 2\n000\n011\n"
-        assert isinstance(parse_strings_instance(text, "cks"), CksInstance)
-        assert isinstance(parse_strings_instance(text, "msfbc"), MsfbcInstance)
+        assert isinstance(parse_strings_instance(text, CksInstance), CksInstance)
+        assert isinstance(parse_strings_instance(text, MsfbcInstance), MsfbcInstance)
         with pytest.raises(ParseError):
-            parse_strings_instance(text, "cms")
+            parse_strings_instance(text, CmsInstance)
 
     def test_round_trip_all_problems(self):
         for seed in range(5):
@@ -50,9 +65,30 @@ class TestStringsFormat:
                 CksInstance(s, 3),
                 MsfbcInstance(s, 1),
             ):
-                name = type(inst).__name__[:-8].lower()
                 text = serialize_strings_instance(inst)
-                assert parse_strings_instance(text, name) == inst
+                assert parse_strings_instance(text, type(inst)) == inst
+
+    @given(string_instances())
+    def test_round_trip_property(self, case):
+        inst, rows = case
+        back = parse_strings_instance(serialize_strings_instance(inst), type(inst))
+        assert back == inst and hash(back) == hash(inst)
+        assert [str(w) for w in back.set] == back.set.texts() == rows
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("strings 2 2 2\nparam d 1\n\n00\n0x\n", 5, "symbol 'x' at column 2 outside alphabet of size 2"),
+            ("strings 3 2 2\nparam d 1\n03\n\n12\n", 3, "symbol '3' at column 2 outside alphabet of size 3"),
+            ("strings 2 2 2\nparam d 1\n02\nx1\n", 3, "symbol '2' at column 2 outside alphabet of size 2"),
+            ("strings 2 2 2\nparam d 1\n\n00\n\n010\n", 6, "string 2 has length 3, expected 2"),
+            ("strings 2 2 1\nparam d 1\n0\n", 3, "string 1 has length 1, expected 2"),
+        ],
+    )
+    def test_row_error_names_its_line_character_and_column(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_strings_instance(text)
+        assert err.value.line == line and str(err.value) == f"line {line}: {message}"
 
     def test_nonbinary_symbols(self):
         inst = parse_strings_instance("strings 3 2 2\nparam d 1\n02\n21\n")
@@ -78,6 +114,16 @@ class TestCnfFormat:
     def test_comments_skipped(self):
         phi = parse_cnf("c a comment\np cnf 2 1\n1 2 0\n")
         assert phi.clause_count == 1
+
+    @pytest.mark.parametrize(
+        "text, line, words",
+        [("p cnf 2 2\n1 2 0\n\n1 -1 0\n", 4, "tautology"), ("p cnf 2 2\nc\n1 2 0\n2 -3 0\n", 4, "range"),
+         ("p cnf 2 1\n0 1 0\n", 2, "range"), ("p cnf 2 2\n1 3 0\n", 2, "range")],
+    )
+    def test_clause_rule_names_its_line(self, text, line, words):
+        with pytest.raises(ParseError, match=words) as err:
+            parse_cnf(text)
+        assert err.value.line == line
 
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError, match="promises 2"):
@@ -121,6 +167,16 @@ class TestGraphFormat:
     def test_duplicate_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_graph("p edge 3 2\ne 1 2\ne 2 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line, words",
+        [("p edge 3 2\ne 1 2\n\ne 3 3\n", 4, "loop"), ("p edge 3 2\nc\ne 1 2\ne 2 4\n", 4, "range"),
+         ("p edge 3 3\ne 1 2\ne 2 3\ne 2 1\n", 4, "duplicate"), ("p edge 3 2\ne 1 1\n", 2, "loop")],
+    )
+    def test_edge_rule_names_its_line(self, text, line, words):
+        with pytest.raises(ParseError, match=words) as err:
+            parse_graph(text)
+        assert err.value.line == line
 
     @pytest.mark.parametrize(
         "text, line", [("p edge 3 1\ne 1 y\n", 2), ("p edge three 1\n", 1), ("p edge 3 1\n\ne 0x1 2\n", 3)]

@@ -21,6 +21,7 @@ from strsel.exact import (
     solve_cms_exact,
     solve_ffms_exact,
     solve_msfbc_subsets,
+    symbol_matrix,
 )
 from strsel.fpt import epsilon_for, synthetic_inflating_oracle
 from strsel.formats import serialize_strings_instance
@@ -44,7 +45,7 @@ def string_sets(draw):
             st.lists(st.integers(0, sigma - 1), min_size=length, max_size=length), min_size=1, max_size=12
         )
     )
-    return StringSet([Word(r, Alphabet(sigma)) for r in rows])
+    return StringSet.from_words([Word(r, Alphabet(sigma)) for r in rows])
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,6 +102,16 @@ def test_kernel_matches_hamming_in_lexicographic_order(sset):
     expected = [[hamming(c, w) for w in sset] for c in centers]
     assert distances(block, packed(sset)).tolist() == expected
     assert [Word.from_index(i, sset.length, sset.alphabet) for i in range(len(centers))] == centers
+
+
+@pytest.mark.parametrize("sigma, length", [(2, 1), (2, 8), (2, 9), (2, 33), (2, 64), (3, 7), (36, 5)])
+def test_views_of_the_row_buffer_match_the_words(sigma, length):
+    sset = random_string_set(sigma, length, 6, seed=length)
+    matrix = symbol_matrix(sset)
+    assert not matrix.flags.writeable
+    assert matrix.tolist() == [list(w.symbols) for w in sset]
+    if sigma == 2:
+        assert packed(sset).tolist() == [w.bits for w in sset]
 
 
 def test_binary_kernel_on_24_bit_centers():
@@ -174,7 +185,7 @@ def msfbc_sets(draw):
     variants = draw(st.lists(edits, min_size=1, max_size=10))
     picks = draw(st.lists(st.integers(0, len(variants) - 1), min_size=1, max_size=10))
     rows = [[variants[p].get(j, base[j]) for j in range(length)] for p in picks]
-    return StringSet([Word(r, Alphabet(sigma)) for r in rows])
+    return StringSet.from_words([Word(r, Alphabet(sigma)) for r in rows])
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,7 +208,7 @@ def test_msfbc_subset_table_at_full_budget():
     # each, so k = 7 admits two of those 6 at most
     deviant = {3: 0, 5: 1, 8: 2, 11: 3, 15: 4, 19: 5}
     rows = [[int(i in deviant and j // 3 == deviant[i]) for j in range(30)] for i in range(20)]
-    inst = MsfbcInstance(StringSet([Word(r) for r in rows]), 7)
+    inst = MsfbcInstance(StringSet.from_words([Word(r) for r in rows]), 7)
     res = solve_msfbc_subsets(inst)
     assert res == ref.solve_msfbc_subsets(inst)
     assert res.indices == tuple(i for i in range(20) if i not in (8, 11, 15, 19)) and res.bad_column_count == 6

@@ -102,7 +102,7 @@ class TestFixingStrings:
                 for _ in range(6):
                     symbols.extend((0, 1) if rng.next_bit() == 0 else (1, 0))
                 expected.append(Word(symbols))
-            assert fixing_strings(7, 6, seed) == expected
+            assert list(fixing_strings(7, 6, seed)) == expected
 
 
 class TestSatReduction:

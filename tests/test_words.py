@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strsel import (
+    BINARY,
     Alphabet,
     CmsInstance,
     FfmsInstance,
@@ -84,9 +85,9 @@ class TestComplement:
         # hamming(~s, t) = l - hamming(s, t), all pairs up to length 5
         for ell in range(1, 6):
             for s_bits in range(1 << ell):
-                s = Word.from_bits(s_bits, ell)
+                s = Word.from_index(s_bits, ell)
                 for t_bits in range(1 << ell):
-                    t = Word.from_bits(t_bits, ell)
+                    t = Word.from_index(t_bits, ell)
                     assert hamming(complement(s), t) == ell - hamming(s, t)
 
 
@@ -117,8 +118,8 @@ class TestBadColumns:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=6),
            st.lists(st.integers(0, 63), min_size=0, max_size=3))
     def test_monotone(self, base, extra):
-        T = [Word.from_bits(b, 6) for b in base]
-        T2 = T + [Word.from_bits(b, 6) for b in extra]
+        T = [Word.from_index(b, 6) for b in base]
+        T2 = T + [Word.from_index(b, 6) for b in extra]
         assert bad_columns(T) <= bad_columns(T2)
 
 
@@ -160,13 +161,25 @@ class TestDuality:
     @settings(max_examples=100)
     def test_coverage_equals_anticoverage_of_complement(self, ell, data):
         n = data.draw(st.integers(1, 5))
-        words = [Word.from_bits(data.draw(st.integers(0, (1 << ell) - 1)), ell) for _ in range(n)]
-        s = Word.from_bits(data.draw(st.integers(0, (1 << ell) - 1)), ell)
+        words = [Word.from_index(data.draw(st.integers(0, (1 << ell) - 1)), ell) for _ in range(n)]
+        s = Word.from_index(data.draw(st.integers(0, (1 << ell) - 1)), ell)
         d = data.draw(st.integers(0, ell))
-        sset = StringSet(words)
+        sset = StringSet.from_words(words)
         assert coverage(s, CmsInstance(sset, d)) == anticoverage(
             complement(s), FfmsInstance(sset, ell - d)
         )
+
+
+class TestStringSet:
+    def test_rows_are_validated(self):
+        for length, rows in [(2, bytes([0, 1, 1, 2])), (3, bytes(4)), (2, b""), (0, b"")]:
+            with pytest.raises(ValueError):
+                StringSet(BINARY, length, rows)
+
+    def test_equality_ignores_the_built_words(self):
+        a, b = StringSet.from_texts(["01", "10"]), StringSet.from_words([w("01"), w("10")])
+        assert a.words == (w("01"), w("10"))
+        assert a == b and hash(a) == hash(b) and b.rows == bytes([0, 1, 1, 0])
 
 
 class TestValidation:
@@ -180,8 +193,29 @@ class TestValidation:
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            StringSet([w("00"), w("000")])
+            StringSet.from_words([w("00"), w("000")])
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
             CmsInstance(StringSet.from_texts(["00"]), d=3)
+
+    def test_alphabet_rule_has_one_message(self):
+        message = "symbol '2' at column 2 outside alphabet of size 2"
+        for build in (
+            lambda: Word([0, 2]),
+            lambda: StringSet(BINARY, 2, bytes([0, 0, 0, 2])),
+            lambda: StringSet.from_texts(["00", "02"]),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match="string 2 differs from string 1"):
+            StringSet.from_words([w("00"), w("02", 3)])
+        with pytest.raises(ValueError, match="unrecognized symbol character '#' at column 2"):
+            StringSet.from_texts(["00", "0#"])
+
+    def test_word_is_immutable(self):
+        word = w("01")
+        with pytest.raises(AttributeError):
+            word.symbols = (1, 1)
+        assert word == StringSet.from_texts(["01"]).words[0] and word.symbols == (0, 1)
