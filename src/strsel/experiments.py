@@ -9,6 +9,7 @@ pairs), which keeps the exhaustive enumerations fast enough to run in CI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact
-from .exact import block_rows, distances, packed
+from .exact import block_rows, distances, packed, symbol_matrix
 from .reductions import (
     Max2SatInstance,
     NonCanonicalCenterError,
@@ -26,6 +27,10 @@ from .reductions import (
 )
 from .rng import derive_seed
 from .words import StringSet, Word
+
+MAX_N = 8
+# a float32 sum of 0/1 terms is an exact integer while it stays below 2^24
+_FLOAT32_EXACT = 1 << 24
 
 
 def _pair_mask(n: int) -> int:
@@ -41,40 +46,65 @@ def noncanonical_words(n: int) -> np.ndarray:
 
 
 def all_fixing_words(n: int) -> np.ndarray:
-    """Packed integers for all 2^n words in {01,10}^n."""
-    out = np.empty(1 << n, dtype=np.uint32)
-    for p in range(1 << n):
-        bits = 0
-        for t in range(n):
-            block = 0b10 if (p >> t) & 1 else 0b01
-            bits |= block << (2 * t)
-        out[p] = bits
-    return out
+    """Packed integers for all 2^n words in {01,10}^n, ascending: bit t of
+    the index puts block 10 instead of 01 at bits 2t and 2t + 1."""
+    index = np.arange(1 << n, dtype=np.uint32)[:, None]
+    t = np.arange(n, dtype=np.uint32)
+    return ((index >> t & 1) << 2 * t).sum(axis=1, dtype=np.uint32) + np.uint32(_pair_mask(n))
 
 
-def _far_counts(s_arr: np.ndarray, f_arr: np.ndarray, n: int) -> np.ndarray:
-    """For each s, how many f are at Hamming distance > n."""
-    counts = np.zeros(len(s_arr), dtype=np.int64)
-    step = block_rows(f_arr)
-    for lo in range(0, len(s_arr), step):
-        counts[lo : lo + step] = (distances(s_arr[lo : lo + step], f_arr) > n).sum(axis=1)
-    return counts
+def _check_n(n: int):
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    if n > MAX_N:
+        raise exact.BudgetExceededError(f"the far table enumerates 4^{n} words, above the n <= {MAX_N} cap")
+
+
+def _check_fixing_count(count: int):
+    if count >= _FLOAT32_EXACT:
+        raise exact.BudgetExceededError(
+            f"{count} fixing strings, above the 2^24 - 1 that float32 far counts hold exactly"
+        )
+
+
+@functools.lru_cache(maxsize=1)
+def _far_table(n: int):
+    """``(words, fixing, far)`` for length 2n: the :func:`noncanonical_words`,
+    the :func:`all_fixing_words`, and the ``float32`` table with ``far[i, j]``
+    = 1 when d(words[i], fixing[j]) > n, else 0. Built in :func:`block_rows`
+    row blocks; read-only, because the cache hands it to every caller."""
+    words, fixing = noncanonical_words(n), all_fixing_words(n)
+    far = np.empty((len(words), len(fixing)), dtype=np.float32)
+    step = block_rows(fixing)
+    for lo in range(0, len(words), step):
+        far[lo : lo + step] = distances(words[lo : lo + step], fixing) > n
+    for table in (words, fixing, far):
+        table.flags.writeable = False
+    return words, fixing, far
 
 
 def structural_property_holds(fixing: StringSet, n: int, m: int):
-    """Check the fixing-string property for a concrete set F: every
-    non-canonical word must be at distance > n from at least m strings of F.
+    """Check the fixing-string property for a concrete set F of words from
+    {01,10}^n: every non-canonical word must be at distance > n from at
+    least m strings of F. F is scored as one mat-vec of the far table
+    against how many times F holds each fixing word.
 
-    Returns (holds, witness word or None, witness's far-string count).
+    Returns (holds, witness word or None, witness's far-string count); the
+    witness is the first failing word in :func:`noncanonical_words` order.
     """
-    f_arr = packed(fixing)
-    s_arr = noncanonical_words(n)
-    counts = _far_counts(s_arr, f_arr, n)
-    bad = np.nonzero(counts < m)[0]
+    _check_n(n)
+    rows = symbol_matrix(fixing)
+    if not fixing.alphabet.is_binary or fixing.length != 2 * n or (rows[:, 0::2] == rows[:, 1::2]).any():
+        raise ValueError(f"fixing strings must lie in {{01,10}}^{n}")
+    _check_fixing_count(fixing.size)
+    words, fixing_words, far = _far_table(n)
+    held = np.bincount(np.searchsorted(fixing_words, packed(fixing)), minlength=len(fixing_words))
+    counts = far @ held.astype(np.float32)
+    bad = np.flatnonzero(counts < m)
     if len(bad) == 0:
         return True, None, None
     i = int(bad[0])
-    return False, Word.from_index(int(s_arr[i]), 2 * n), int(counts[i])
+    return False, Word.from_index(int(words[i]), 2 * n), int(counts[i])
 
 
 @dataclass(frozen=True)
@@ -84,14 +114,20 @@ class TrialOutcome:
     far_count: Optional[int] = None
 
 
-def lemma_fixing_trial(n: int, m: int, c: int, seed: int, max_n: int = 8) -> TrialOutcome:
-    """One draw of F (cm random fixing strings) checked exhaustively."""
+def _check_trial(n: int, m: int, c: int):
+    """Reject a trial's parameters before anything is drawn."""
+    if c < 1:
+        raise ValueError(f"--c must be at least 1, got {c}")
+    _check_n(n)
     if m < n:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
-    if n > max_n:
-        raise exact.BudgetExceededError(f"trial enumerates 4^{n} words, above the n <= {max_n} cap")
-    fixing = fixing_strings(c * m, n, seed)
-    holds, witness, far = structural_property_holds(fixing, n, m)
+    _check_fixing_count(c * m)
+
+
+def lemma_fixing_trial(n: int, m: int, c: int, seed: int) -> TrialOutcome:
+    """One draw of F (cm random fixing strings) checked exhaustively."""
+    _check_trial(n, m, c)
+    holds, witness, far = structural_property_holds(fixing_strings(c * m, n, seed), n, m)
     return TrialOutcome(holds=holds, witness=witness, far_count=far)
 
 
@@ -122,6 +158,9 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     The comparison is recorded in the report, not raised: it is a
     statistical claim, not a unit test.
     """
+    if trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {trials}")
+    _check_trial(n, m, c)
     report = TrialReport(parameters={"n": n, "m": m, "c": c, "seed": seed}, trials=trials)
     if trials == 0:
         return report
@@ -136,38 +175,33 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     return report
 
 
-def per_pair_quarter_bound(n: int, max_n: int = 8) -> float:
+def per_pair_quarter_bound(n: int) -> float:
     """Exact minimum over all non-canonical s of the fraction of fixing
     strings at distance >= n+1; must be >= 1/4."""
-    if n > max_n:
-        raise exact.BudgetExceededError(f"enumeration capped at n <= {max_n}")
-    f_arr = all_fixing_words(n)
-    s_arr = noncanonical_words(n)
-    counts = _far_counts(s_arr, f_arr, n)  # distance > n, i.e. >= n+1
-    return float(counts.min()) / len(f_arr)
+    _check_n(n)
+    _, fixing, far = _far_table(n)
+    return float(far.sum(axis=1).min()) / len(fixing)
 
 
-def conditional_half_bound(n: int, max_n: int = 8) -> float:
+def conditional_half_bound(n: int) -> float:
     """Exact minimum conditional fraction: for every non-canonical s and
     every mismatched block of s, restrict to fixing strings whose block there
-    opposes s's, and measure the fraction at distance >= n+1; must be >= 1/2."""
-    if n > max_n:
-        raise exact.BudgetExceededError(f"enumeration capped at n <= {max_n}")
-    f_arr = all_fixing_words(n)
-    s_arr = noncanonical_words(n)
-    minimum = 1.0
-    for s in s_arr:
-        s = int(s)
-        for t in range(n):
-            block = (s >> (2 * t)) & 0b11
-            if block in (0b00, 0b11):
-                continue
-            opposing = 0b11 ^ block
-            cond = f_arr[((f_arr >> (2 * t)) & 0b11) == opposing]
-            dist = np.bitwise_count(np.uint32(s) ^ cond)
-            frac = float((dist >= n + 1).sum()) / len(cond)
-            minimum = min(minimum, frac)
-    return minimum
+    opposes s's, and measure the fraction at distance >= n+1; must be >= 1/2.
+
+    Half of the fixing strings oppose s at a given block. For each block t,
+    one mat-vec of the far table with the indicator of block t being 10
+    counts, for every s at once, the far strings holding 10 there; the row
+    sum less that count gives those holding 01."""
+    _check_n(n)
+    words, fixing, far = _far_table(n)
+    shifts = 2 * np.arange(n, dtype=np.uint32)
+    s_blocks = words[:, None] >> shifts & 0b11
+    holds_10 = (fixing >> shifts[:, None] & 0b11 == 0b10).astype(np.float32)
+    # mat-vecs, not one matrix product: that would map a ~40 MB BLAS buffer
+    far_10 = np.stack([far @ column for column in holds_10], axis=1)
+    opposing = np.where(s_blocks == 0b01, far_10, far.sum(axis=1, keepdims=True) - far_10)
+    mismatched = (s_blocks == 0b01) | (s_blocks == 0b10)
+    return float(opposing[mismatched].min()) / (len(fixing) // 2)
 
 
 def conditional_distance_distribution(s_bits: int, block: int, n: int) -> dict:

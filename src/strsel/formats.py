@@ -63,7 +63,11 @@ def parse_strings_instance(text: str, kind: type | None = None):
     head = lines[0].split()
     if len(head) != 4 or head[0] != "strings":
         raise ParseError(1, f"expected 'strings <sigma> <l> <n>', got {lines[0]!r}")
-    sigma, length, n = (_int(x, 1, name) for x, name in zip(head[1:], ("sigma", "l", "n")))
+    sigma, length, n = _int(head[1], 1, "sigma"), _int(head[2], 1, "l", 1), _int(head[3], 1, "n", 1)
+    try:
+        alphabet = Alphabet(sigma)
+    except ValueError as e:
+        raise ParseError(1, str(e)) from None
     if len(lines) < 2 or not lines[1].startswith("param"):
         raise ParseError(2, "missing 'param <d|k> <value>' line")
     parts = lines[1].split()
@@ -76,7 +80,7 @@ def parse_strings_instance(text: str, kind: type | None = None):
     if len(row_lines) != n:
         raise ParseError(len(lines), f"expected {n} strings, found {len(row_lines)}")
     rows = [lines[no - 1] for no in row_lines]
-    sset = _checked(lambda: StringSet.from_texts(rows, Alphabet(sigma), length), row_lines)
+    sset = _checked(lambda: StringSet.from_texts(rows, alphabet, length), row_lines)
 
     if kind is None:
         kind = CmsInstance if letter == "d" else CksInstance

@@ -52,10 +52,7 @@ def _start_symbols(sset: StringSet, cfg: SearchConfig, restart: int) -> Sequence
     # Max-2-SAT reduction, whose good centers are all canonical
     if not sset.alphabet.is_binary or sset.length % 2 != 0:
         raise ValueError("canonical starts need a binary instance of even length")
-    symbols = []
-    for _ in range(sset.length // 2):
-        symbols += [rng.next_bit()] * 2
-    return symbols
+    return np.repeat(rng.bits(sset.length // 2), 2)
 
 
 def _climb(words_t: np.ndarray, sigma: int, score, start: Sequence[int], max_iterations: int):

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import exact
 from .rng import SplitMix64
 from .words import BINARY, CmsInstance, ItemError, MsfbcInstance, StringSet, Word, bad_columns, hamming
@@ -162,15 +164,14 @@ def decode_center(s: Word) -> tuple:
     return tuple(out)
 
 
-_BLOCKS = ((0, 1), (1, 0))
+_BLOCKS = np.array([[0, 1], [1, 0]], dtype=np.uint8)
 
 
 def fixing_strings(count: int, n: int, seed: int) -> StringSet:
     """``count`` random words from {01,10}^n, deterministic given ``seed``:
     one draw per block, block 01 for a 0 draw and 10 for a 1 draw, in
     reading order."""
-    rng = SplitMix64(seed)
-    return StringSet(BINARY, 2 * n, bytes(c for _ in range(count * n) for c in _BLOCKS[rng.next_bit()]))
+    return StringSet(BINARY, 2 * n, _BLOCKS[SplitMix64(seed).bits(count * n)].tobytes())
 
 
 def clause_distance_identity(assignment, clause: Clause, n: int) -> int:

@@ -7,11 +7,16 @@ for independent trials are derived with :func:`derive_seed`.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BLOCK = 1 << 20
 
 
-def _mix(z: int) -> int:
+def _mix(z):
+    """The splitmix64 output function, on one int or on a ``uint64`` array
+    (whose arithmetic wraps modulo 2^64 by itself)."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
     return z ^ (z >> 31)
@@ -29,6 +34,18 @@ class SplitMix64:
 
     def next_bit(self) -> int:
         return self.next_u64() >> 63
+
+    def bits(self, count: int) -> np.ndarray:
+        """The next ``count`` :meth:`next_bit` draws as one ``uint8`` array;
+        the state advances exactly as ``count`` calls would. The ``uint64``
+        states are mixed in blocks of 2^20, so a large draw needs about one
+        byte per bit."""
+        out = np.empty(count, dtype=np.uint8)
+        for lo in range(0, count, _BLOCK):
+            steps = np.arange(lo + 1, min(count, lo + _BLOCK) + 1, dtype=np.uint64)
+            out[lo : lo + _BLOCK] = _mix(np.uint64(self._state) + steps * np.uint64(_GOLDEN)) >> 63
+        self._state = (self._state + count * _GOLDEN) & _MASK
+        return out
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""

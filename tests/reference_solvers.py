@@ -8,6 +8,10 @@ incremental distance vector, and the MSFBC combination loop that
 built only on ``Word``, ``hamming`` and ``bad_columns``, as the differential
 oracle for the fast paths: those must return equal ``CenterResult`` and
 ``SubsetResult`` values, including the lexicographic tie-breaks.
+
+The fixing-string references at the end draw one ``next_bit()`` per block
+and score each trial, and each (word, block) pair of the half bound, on its
+own, where ``strsel`` draws bits in blocks and reads one far table per n.
 """
 
 from __future__ import annotations
@@ -15,10 +19,22 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Optional
 
-from strsel.exact import DEFAULT_SUBSET_BUDGET, BudgetExceededError, CenterResult, SubsetResult
+import numpy as np
+
+from strsel.exact import (
+    DEFAULT_SUBSET_BUDGET,
+    BudgetExceededError,
+    CenterResult,
+    SubsetResult,
+    block_rows,
+    distances,
+    packed,
+)
+from strsel.experiments import all_fixing_words, noncanonical_words
 from strsel.heuristics import SearchConfig
 from strsel.rng import SplitMix64, derive_seed
 from strsel.words import (
+    BINARY,
     Alphabet,
     CksInstance,
     CmsInstance,
@@ -183,3 +199,50 @@ def solve_msfbc_subsets(inst: MsfbcInstance, subset_budget: int = DEFAULT_SUBSET
             if len(bad) <= inst.k:
                 return SubsetResult(indices=combo, bad_column_count=len(bad))
     raise AssertionError("unreachable: any single string has zero bad columns")
+
+
+_BLOCKS = ((0, 1), (1, 0))
+
+
+def fixing_strings(count: int, n: int, seed: int) -> StringSet:
+    rng = SplitMix64(seed)
+    return StringSet(BINARY, 2 * n, bytes(c for _ in range(count * n) for c in _BLOCKS[rng.next_bit()]))
+
+
+def _far_counts(s_arr: np.ndarray, f_arr: np.ndarray, n: int) -> np.ndarray:
+    """For each s, how many f are at Hamming distance > n."""
+    counts = np.zeros(len(s_arr), dtype=np.int64)
+    step = block_rows(f_arr)
+    for lo in range(0, len(s_arr), step):
+        counts[lo : lo + step] = (distances(s_arr[lo : lo + step], f_arr) > n).sum(axis=1)
+    return counts
+
+
+def structural_property_holds(fixing: StringSet, n: int, m: int):
+    s_arr = noncanonical_words(n)
+    counts = _far_counts(s_arr, packed(fixing), n)
+    bad = np.nonzero(counts < m)[0]
+    if len(bad) == 0:
+        return True, None, None
+    i = int(bad[0])
+    return False, Word.from_index(int(s_arr[i]), 2 * n), int(counts[i])
+
+
+def per_pair_quarter_bound(n: int) -> float:
+    f_arr = all_fixing_words(n)
+    return float(_far_counts(noncanonical_words(n), f_arr, n).min()) / len(f_arr)
+
+
+def conditional_half_bound(n: int) -> float:
+    f_arr = all_fixing_words(n)
+    minimum = 1.0
+    for s in noncanonical_words(n):
+        s = int(s)
+        for t in range(n):
+            block = (s >> (2 * t)) & 0b11
+            if block in (0b00, 0b11):
+                continue
+            cond = f_arr[((f_arr >> (2 * t)) & 0b11) == 0b11 ^ block]
+            dist = np.bitwise_count(np.uint32(s) ^ cond)
+            minimum = min(minimum, float((dist >= n + 1).sum()) / len(cond))
+    return minimum

@@ -196,12 +196,39 @@ def test_header_count_out_of_range_exit_2(capsys, tmp_path):
     for name, argv, text in [
         ("g.txt", ["solve", "dks", "--k", "1"], "p edge -1 0\n"),
         ("phi.cnf", ["solve", "max2sat"], "p cnf 0 0\n"),
+        ("sigma1.txt", ["solve", "cms"], "strings 1 2 1\nparam d 1\n00\n"),
+        ("sigma40.txt", ["solve", "cms"], "strings 40 2 1\nparam d 1\n00\n"),
+        ("n0.txt", ["solve", "cms"], "strings 2 2 0\nparam d 1\n"),
     ]:
         p = tmp_path / name
         p.write_text(text)
         status = main(argv + ["-f", str(p)])
         assert status == 2
         assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "-1"], "error: --trials must be at least 0, got -1"),
+        (["--c", "0"], "error: --c must be at least 1, got 0"),
+        (["--n", "0"], "error: --n must be at least 1, got 0"),
+    ],
+)
+def test_experiment_fixing_lemma_rejects_bad_flags(capsys, flags, message):
+    assert main(["experiment", "fixing-lemma", "--seed", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == message
+
+
+def test_experiment_fixing_lemma_over_float32_count_exits_before_drawing(capsys, monkeypatch):
+    from strsel import experiments
+
+    monkeypatch.setattr(experiments, "fixing_strings", lambda *a: pytest.fail("drew fixing strings"))
+    # c * m = 2^24, the smallest count that is refused
+    status = main(["experiment", "fixing-lemma", "--n", "4", "--m", "4", "--c", str(1 << 22), "--seed", "1"])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("resource error: ")
 
 
 def test_oracle_contract_error_exits_1(capsys, tmp_path, monkeypatch):

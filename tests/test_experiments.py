@@ -4,8 +4,11 @@ the Las-Vegas retry loop, cross-checked against slow pure-Python oracles."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strsel import Word, hamming
+import reference_solvers as ref
+from strsel import BINARY, Alphabet, StringSet, Word, hamming
 from strsel.exact import BudgetExceededError, solve_max2sat_exact
 from strsel.experiments import (
     all_fixing_words,
@@ -44,12 +47,49 @@ def test_noncanonical_enumeration_matches_oracle():
 
 def test_all_fixing_words_enumeration():
     for n in (1, 2, 3):
-        words = [Word.from_index(int(b), 2 * n) for b in all_fixing_words(n)]
+        packed = all_fixing_words(n)
+        words = [Word.from_index(int(b), 2 * n) for b in packed]
         assert len(words) == 2**n
         for w in words:
             for i in range(n):
                 assert w[2 * i] != w[2 * i + 1]
         assert len({w.bits for w in words}) == 2**n
+        assert (packed[1:] > packed[:-1]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bounds_equal_the_per_pair_references(n):
+    assert per_pair_quarter_bound(n) == ref.per_pair_quarter_bound(n)
+    assert conditional_half_bound(n) == ref.conditional_half_bound(n)
+
+
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**64 - 1))
+def test_fixing_strings_equal_the_per_bit_reference(count, n, seed):
+    assert fixing_strings(count, n, seed) == ref.fixing_strings(count, n, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**64 - 1))
+def test_structural_property_equals_the_per_pair_reference(n, extra, seed):
+    # c = 1 and m close to n: failures are common, so witnesses are compared too
+    m = n + extra
+    fixing = fixing_strings(m, n, seed)
+    assert structural_property_holds(fixing, n, m) == ref.structural_property_holds(fixing, n, m)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**64 - 1), st.data())
+def test_structural_property_rejects_a_non_fixing_set(n, count, seed, data):
+    rows = bytearray(fixing_strings(count, n, seed).rows)
+    at = 2 * data.draw(st.integers(0, count * n - 1))
+    rows[at : at + 2] = bytes([data.draw(st.integers(0, 1))]) * 2  # one block becomes 00 or 11
+    with pytest.raises(ValueError, match="must lie in"):
+        structural_property_holds(StringSet(BINARY, 2 * n, bytes(rows)), n, n)
+
+
+def test_structural_property_rejects_a_wrong_length_or_alphabet():
+    for fixing in (fixing_strings(3, 3, 0), StringSet.from_texts(["0110"], Alphabet(3))):
+        with pytest.raises(ValueError, match="must lie in"):
+            structural_property_holds(fixing, 2, 2)
 
 
 class TestQuarterBound:

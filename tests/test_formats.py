@@ -90,6 +90,21 @@ class TestStringsFormat:
             parse_strings_instance(text)
         assert err.value.line == line and str(err.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ("strings 1 2 1", "alphabet size must be in [2, 36], got 1"),
+            ("strings 40 2 1", "alphabet size must be in [2, 36], got 40"),
+            ("strings 2 0 1", "l must be at least 1, got 0"),
+            ("strings 2 2 0", "n must be at least 1, got 0"),
+            ("strings 2 2 -3", "n must be at least 1, got -3"),
+        ],
+    )
+    def test_header_out_of_range_names_line_1(self, head, message):
+        with pytest.raises(ParseError) as err:
+            parse_strings_instance(f"{head}\nparam d 1\n00\n")
+        assert str(err.value) == f"line 1: {message}"
+
     def test_nonbinary_symbols(self):
         inst = parse_strings_instance("strings 3 2 2\nparam d 1\n02\n21\n")
         assert inst.set.words[0].symbols == (0, 2)
