@@ -9,6 +9,7 @@ reason).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import secrets
 import sys
@@ -287,7 +288,10 @@ def _cmd_experiment(args) -> int:
     raise ValueError(f"unknown experiment {name!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first :func:`main` call and
+    reused by every later one: each parse leaves it unchanged and returns a fresh namespace."""
     p = argparse.ArgumentParser(prog="strsel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -24,6 +24,10 @@ from .rng import SplitMix64
 from .words import BINARY, CmsInstance, ItemError, MsfbcInstance, StringSet, Word, bad_columns, hamming
 
 
+# reduce_max2sat_to_cms holds every string, and a certificate line per string, in memory
+MAX_REDUCTION_ROWS = 2**20
+
+
 class NonCanonicalCenterError(Exception):
     """A center outside {00,11}^n cannot be decoded to an assignment."""
 
@@ -191,6 +195,10 @@ def reduce_max2sat_to_cms(phi: Max2SatInstance, c: int = 20, seed: int = 0):
         )
     if c < 1:
         raise ValueError("c must be >= 1")
+    if (c + 1) * m > MAX_REDUCTION_ROWS:
+        raise exact.BudgetExceededError(
+            f"the reduction builds (c+1)*m = {(c + 1) * m} strings, above the budget of {MAX_REDUCTION_ROWS}"
+        )
     fixing = fixing_strings(c * m, n, seed)
     clauses = b"".join(bytes(clause_string(cl, n).symbols) for cl in phi.clauses)
     inst = CmsInstance(set=StringSet(BINARY, 2 * n, fixing.rows + clauses), d=n)

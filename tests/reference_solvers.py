@@ -3,8 +3,9 @@
 These are the per-center, per-word loops that ``strsel.exact`` and
 ``strsel.fpt`` replaced with the packed numpy distance kernel, the
 per-neighbour hill climbing that ``strsel.heuristics`` replaced with an
-incremental distance vector, and the MSFBC combination loop that
-``strsel.exact`` replaced with a table over all subsets. They are kept here,
+incremental distance vector, the MSFBC combination loop that
+``strsel.exact`` replaced with a table over all subsets, and the MSFBC
+column-set loop with generator-built group keys. They are kept here,
 built only on ``Word``, ``hamming`` and ``bad_columns``, as the differential
 oracle for the fast paths: those must return equal ``CenterResult`` and
 ``SubsetResult`` values, including the lexicographic tie-breaks.
@@ -17,6 +18,7 @@ own, where ``strsel`` draws bits in blocks and reads one far table per n.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -199,6 +201,32 @@ def solve_msfbc_subsets(inst: MsfbcInstance, subset_budget: int = DEFAULT_SUBSET
             if len(bad) <= inst.k:
                 return SubsetResult(indices=combo, bad_column_count=len(bad))
     raise AssertionError("unreachable: any single string has zero bad columns")
+
+
+def solve_msfbc_columns(inst: MsfbcInstance, column_budget: int = DEFAULT_SUBSET_BUDGET) -> SubsetResult:
+    """Every column set J of size min(k, l); group the words by their symbols
+    outside J, one generator-built key per word, and keep the best group."""
+    ell = inst.set.length
+    j_size = min(inst.k, ell)
+    if comb(ell, j_size) > column_budget:
+        raise BudgetExceededError(
+            f"column enumeration needs C({ell},{j_size}) sets, above the budget of {column_budget}"
+        )
+    words = inst.set.words
+    best: Optional[tuple] = None
+    for j_set in itertools.combinations(range(ell), j_size):
+        keep = [j for j in range(ell) if j not in j_set]
+        groups: dict = {}
+        for i, w in enumerate(words):
+            key = tuple(w[j] for j in keep)
+            groups.setdefault(key, []).append(i)
+        for indices in groups.values():
+            cand = (-len(indices), tuple(indices))
+            if best is None or cand < best:
+                best = cand
+    indices = best[1]
+    bad = bad_columns([words[i] for i in indices])
+    return SubsetResult(indices=indices, bad_column_count=len(bad))
 
 
 _BLOCKS = ((0, 1), (1, 0))

@@ -1,8 +1,11 @@
 """End-to-end CLI: exit-code contract, record re-scoring, reproducibility."""
 
+import secrets
+
 import pytest
 
-from strsel.cli import main
+from strsel import cli
+from strsel.cli import build_parser, main
 
 K3 = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 CMS = "strings 2 2 3\nparam d 1\n00\n01\n11\n"
@@ -94,6 +97,28 @@ def test_reduce_sat2cms_writes_sidecar(capsys, tmp_path):
     assert inst_text.startswith("strings 2 4 6\nparam d 2\n")
     cert = (outdir / "instance.cert").read_text()
     assert "seed=7" in cert and "c=2" in cert
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "sat2cms", "--seed", "7"],
+        ["experiment", "las-vegas", "--n", "2", "--m", "2", "--seed", "9"],
+    ],
+)
+def test_sat2cms_over_row_budget_exits_before_drawing(capsys, tmp_path, monkeypatch, argv):
+    from strsel import reductions
+
+    monkeypatch.setattr(reductions, "fixing_strings", lambda *a: pytest.fail("drew fixing strings"))
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    files = ["-f", str(cnf), "-o", str(tmp_path / "out")] if argv[0] == "reduce" else []
+    # (c+1)*m = 2^20 + 2 with m = 2, the smallest row count that is refused
+    status = main(argv + files + ["--c", str(2**19)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("resource error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_reduce_dks2msfbc(capsys, tmp_path, graph_file):
@@ -272,3 +297,27 @@ def test_solve_max2sat_recheck_is_independent_of_the_solver(capsys, tmp_path, mo
     monkeypatch.setattr(Max2SatInstance, "satisfied_count", lambda self, a: satisfied_count(self, a) + 1)
     status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
     assert status == 1 and as_dict(out)["recheck"] == "fail"
+
+
+def _transcript(capsys, commands):
+    transcript = []
+    for argv in commands:
+        status = main(argv)
+        captured = capsys.readouterr()
+        transcript.append((status, captured.out, captured.err))
+    return transcript
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, cms_file, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(secrets, "randbits", lambda bits: 12345)
+    local = ["solve", "cms", "--algo", "local", "-f", cms_file]
+    commands = [["solve", "cms", "--no-such-flag"], ["--help"], local + ["--seed", "3"], local]
+    parser = build_parser()
+    reused = _transcript(capsys, commands)
+    assert build_parser() is parser  # built once, by the first call
+    assert [status for status, _, _ in reused] == [2, 0, 0, 0]
+    # the auto-drawn seed, not the one the previous command set on its namespace
+    assert as_dict(reused[2][1])["seed"] == "3" and as_dict(reused[3][1])["seed"] == "12345"
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert _transcript(capsys, commands) == reused

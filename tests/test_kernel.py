@@ -1,5 +1,5 @@
 """The packed distance kernel, the center solvers and the hill climbing built
-on it, and the MSFBC subset table, checked against the pure-Python reference
+on it, and the two MSFBC solvers, checked against the pure-Python reference
 solvers in ``reference_solvers``."""
 
 from unittest import mock
@@ -20,6 +20,7 @@ from strsel.exact import (
     solve_cks_exact,
     solve_cms_exact,
     solve_ffms_exact,
+    solve_msfbc_columns,
     solve_msfbc_subsets,
     symbol_matrix,
 )
@@ -175,11 +176,12 @@ def test_cli_local_search_output_matches_reference(capsys, tmp_path):
 
 
 @st.composite
-def msfbc_sets(draw):
+def msfbc_sets(draw, cells=80):
     """Up to 10 words, some of them repeated, that differ from one base word
-    in a few columns; sigma * l reaches past one 64-bit limb."""
+    in a few columns; sigma * l reaches up to ``cells``, by default past one
+    64-bit limb."""
     sigma = draw(st.sampled_from([2, 3, 4]))
-    length = draw(st.integers(1, 80 // sigma))
+    length = draw(st.integers(1, cells // sigma))
     base = draw(st.lists(st.integers(0, sigma - 1), min_size=length, max_size=length))
     edits = st.dictionaries(st.integers(0, length - 1), st.integers(0, sigma - 1), max_size=length)
     variants = draw(st.lists(edits, min_size=1, max_size=10))
@@ -201,6 +203,16 @@ def test_msfbc_subset_table_matches_reference(sset):
     with pytest.raises(BudgetExceededError) as slow:
         ref.solve_msfbc_subsets(inst, subset_budget=budget)
     assert str(fast.value) == str(slow.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(msfbc_sets(cells=24))
+def test_msfbc_columns_solver_matches_reference(sset):
+    # k = l keeps no column, so every word falls into one group
+    for k in range(sset.length + 1):
+        inst = MsfbcInstance(sset, k)
+        res = solve_msfbc_columns(inst)
+        assert res == ref.solve_msfbc_columns(inst) == solve_msfbc_subsets(inst)
 
 
 def test_msfbc_subset_table_at_full_budget():

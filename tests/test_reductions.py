@@ -125,6 +125,16 @@ class TestSatReduction:
         with pytest.raises(ValueError, match="m >= n"):
             reduce_max2sat_to_cms(phi, seed=0)
 
+    def test_row_budget_is_inclusive(self, monkeypatch):
+        from strsel import reductions
+        from strsel.exact import BudgetExceededError
+
+        phi = random_max2sat(3, 4, seed=0)
+        monkeypatch.setattr(reductions, "MAX_REDUCTION_ROWS", 84)
+        assert reduce_max2sat_to_cms(phi, c=20, seed=1)[0].set.size == 84
+        with pytest.raises(BudgetExceededError, match=r"\(c\+1\)\*m = 88 strings, above the budget of 84"):
+            reduce_max2sat_to_cms(phi, c=21, seed=1)
+
     def test_coverage_identity_exhaustive(self):
         for seed in range(5):
             phi = random_max2sat(3, 5, seed=seed)
