@@ -49,21 +49,12 @@ def _write_or_print(text: str, path):
         sys.stdout.write(text)
 
 
-def _cmd_gen_max2sat(args) -> int:
+def _cmd_gen(args) -> int:
     seed, auto = _resolve_seed(args)
-    phi = gen.random_max2sat(args.n, args.m, seed)
+    text = args.generate(args, seed)
     if auto:
         _emit([("seed", seed)])
-    _write_or_print(serialize_cnf(phi), args.output)
-    return 0
-
-
-def _cmd_gen_graph(args) -> int:
-    seed, auto = _resolve_seed(args)
-    g = gen.random_graph(args.vertices, args.edges, seed)
-    if auto:
-        _emit([("seed", seed)])
-    _write_or_print(serialize_graph(g), args.output)
+    _write_or_print(text, args.output)
     return 0
 
 
@@ -218,74 +209,83 @@ def _cmd_decide_cks(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    name = args.name
-    if name == "fixing-lemma":
-        seed, auto = _resolve_seed(args)
-        report = experiments.lemma_fixing_campaign(args.n, args.m, args.c, args.trials, seed)
-        pairs = [
-            ("experiment", name),
-            ("n", args.n),
-            ("m", args.m),
-            ("c", args.c),
-            ("trials", report.trials),
-            ("seed", seed),
-            ("failures", report.failures),
-            ("failure_fraction", f"{report.failure_fraction:.6f}"),
+def _fixing_lemma(args):
+    seed, _ = _resolve_seed(args)
+    report = experiments.lemma_fixing_campaign(args.n, args.m, args.c, args.trials, seed)
+    pairs = [
+        ("n", args.n),
+        ("m", args.m),
+        ("c", args.c),
+        ("trials", report.trials),
+        ("seed", seed),
+        ("failures", report.failures),
+        ("failure_fraction", f"{report.failure_fraction:.6f}"),
+    ]
+    if report.bound is not None:
+        pairs += [
+            ("bound", f"{report.bound:.6f}"),
+            ("slack", f"{report.slack:.6f}"),
+            ("within_bound", str(report.within_bound).lower()),
         ]
-        if report.bound is not None:
-            pairs += [
-                ("bound", f"{report.bound:.6f}"),
-                ("slack", f"{report.slack:.6f}"),
-                ("within_bound", str(report.within_bound).lower()),
-            ]
-        _emit(pairs)
-        for (trial, witness, far) in report.worst_witnesses:
-            _emit([("witness", f"{trial} {witness} {far}")])
-        return 0
-    if name == "quarter-bound":
-        value = experiments.per_pair_quarter_bound(args.n)
-        _emit([("experiment", name), ("n", args.n), ("min_fraction", f"{value:.6f}")])
-        return 0 if value >= 0.25 else 1
-    if name == "half-bound":
-        value = experiments.conditional_half_bound(args.n)
-        _emit([("experiment", name), ("n", args.n), ("min_fraction", f"{value:.6f}")])
-        return 0 if value >= 0.5 else 1
-    if name == "inequalities":
-        report = experiments.inequality_checks(args.c, args.m)
-        _emit(
-            [
-                ("experiment", name),
-                ("c", args.c),
-                ("m_max", args.m),
-                ("epsilon_threshold", f"{report.epsilon_threshold:.8f}"),
-                ("gap", str(report.gap_holds).lower()),
-                ("structural", str(report.structural_threshold_holds).lower()),
-                ("union_bound", str(report.union_bound_holds).lower()),
-                ("pass", str(report.passed).lower()),
-            ]
-        )
-        return 0 if report.passed else 1
-    if name == "las-vegas":
-        seed, auto = _resolve_seed(args)
-        phi = gen.random_max2sat(args.n, args.m, seed)
-        assignment, trials = experiments.las_vegas_loop(phi, c=args.c, seed=seed)
-        _, optimum = exact.solve_max2sat_exact(phi)
-        sat = phi.satisfied_count(assignment)
-        _emit(
-            [
-                ("experiment", name),
-                ("n", args.n),
-                ("m", args.m),
-                ("c", args.c),
-                ("seed", seed),
-                ("trials", trials),
-                ("satisfied", sat),
-                ("optimum", optimum),
-            ]
-        )
-        return 0 if sat == optimum else 1
-    raise ValueError(f"unknown experiment {name!r}")
+    pairs += [("witness", f"{trial} {witness} {far}") for (trial, witness, far) in report.worst_witnesses]
+    return pairs, 0
+
+
+def _fraction_bound(min_fraction, floor: float):
+    def run(args):
+        value = min_fraction(args.n)
+        return [("n", args.n), ("min_fraction", f"{value:.6f}")], 0 if value >= floor else 1
+
+    return run
+
+
+def _inequalities(args):
+    report = experiments.inequality_checks(args.c, args.m)
+    pairs = [
+        ("c", args.c),
+        ("m_max", args.m),
+        ("epsilon_threshold", f"{report.epsilon_threshold:.8f}"),
+        ("gap", str(report.gap_holds).lower()),
+        ("structural", str(report.structural_threshold_holds).lower()),
+        ("union_bound", str(report.union_bound_holds).lower()),
+        ("pass", str(report.passed).lower()),
+    ]
+    return pairs, 0 if report.passed else 1
+
+
+def _las_vegas(args):
+    seed, _ = _resolve_seed(args)
+    phi = gen.random_max2sat(args.n, args.m, seed)
+    assignment, trials = experiments.las_vegas_loop(phi, c=args.c, seed=seed)
+    _, optimum = exact.solve_max2sat_exact(phi)
+    sat = phi.satisfied_count(assignment)
+    pairs = [
+        ("n", args.n),
+        ("m", args.m),
+        ("c", args.c),
+        ("seed", seed),
+        ("trials", trials),
+        ("satisfied", sat),
+        ("optimum", optimum),
+    ]
+    return pairs, 0 if sat == optimum else 1
+
+
+# experiment -> run: args -> (output pairs after the experiment= line, exit status).
+# Like PROBLEMS, every entry looks up what it calls when it runs.
+EXPERIMENTS = {
+    "fixing-lemma": _fixing_lemma,
+    "quarter-bound": _fraction_bound(lambda n: experiments.per_pair_quarter_bound(n), 0.25),
+    "half-bound": _fraction_bound(lambda n: experiments.conditional_half_bound(n), 0.5),
+    "inequalities": _inequalities,
+    "las-vegas": _las_vegas,
+}
+
+
+def _cmd_experiment(args) -> int:
+    pairs, status = EXPERIMENTS[args.name](args)
+    _emit([("experiment", args.name)] + pairs)
+    return status
 
 
 @functools.cache
@@ -300,14 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--seed", type=int)
     g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen_max2sat)
+    g.set_defaults(func=_cmd_gen, generate=lambda args, seed: serialize_cnf(gen.random_max2sat(args.n, args.m, seed)))
 
     g = sub.add_parser("gen-graph", help="generate a random simple graph")
     g.add_argument("--vertices", type=int, required=True)
     g.add_argument("--edges", type=int, required=True)
     g.add_argument("--seed", type=int)
     g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen_graph)
+    g.set_defaults(
+        func=_cmd_gen, generate=lambda args, seed: serialize_graph(gen.random_graph(args.vertices, args.edges, seed))
+    )
 
     g = sub.add_parser("reduce", help="run a hardness reduction as an instance generator")
     g.add_argument("kind", choices=["sat2cms", "dks2msfbc"])
@@ -343,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_decide_cks)
 
     g = sub.add_parser("experiment", help="run a verification experiment")
-    g.add_argument(
-        "name",
-        choices=["fixing-lemma", "quarter-bound", "half-bound", "inequalities", "las-vegas"],
-    )
+    g.add_argument("name", choices=list(EXPERIMENTS))
     g.add_argument("--n", type=int, default=4)
     g.add_argument("--m", type=int, default=4)
     g.add_argument("--c", type=int, default=20)

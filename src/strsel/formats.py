@@ -187,6 +187,9 @@ def serialize_certificate(cert: ReductionCertificate, source_path: str = "-") ->
     for key, value in sorted(cert.parameters.items()):
         out.append(f"{key}={value}")
     out.append(f"source={source_path}")
-    for (index, kind, ref) in cert.index_map:
-        out.append(f"map={index} {kind} {ref}")
+    index = 0
+    for kind, refs in cert.layout:
+        for ref in refs:
+            out.append(f"map={index} {kind} {ref}")
+            index += 1
     return "\n".join(out) + "\n"

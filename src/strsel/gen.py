@@ -28,9 +28,9 @@ def random_max2sat(n: int, m: int, seed: int) -> Max2SatInstance:
 
 def random_graph(vertex_count: int, edge_count: int, seed: int) -> Graph:
     """Random simple graph with exactly ``edge_count`` edges."""
-    total = comb(vertex_count, 2)
-    if edge_count > total:
-        raise ValueError(f"at most {total} edges fit in a simple graph on {vertex_count} vertices")
+    total = comb(max(vertex_count, 0), 2)
+    if not 0 <= edge_count <= total:
+        raise ValueError(f"edge count must be in [0, {total}] on {vertex_count} vertices, got {edge_count}")
     rng = SplitMix64(seed)
     all_pairs = [(u, v) for u in range(1, vertex_count + 1) for v in range(u + 1, vertex_count + 1)]
     rng.shuffle(all_pairs)

@@ -8,7 +8,7 @@ Two constructions live here:
   edge incidence strings plus the all-zero string, same parameter k).
 
 Each reduction returns a certificate recording the seed, the parameters,
-and a total map from generated string indices back to source objects.
+and the layout of the generated strings: which source object each came from.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ class Graph:
     edges: tuple  # of (u, v) with u < v
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count must be at least 0, got {self.vertex_count}")
         seen = set()
         for j, (u, v) in enumerate(self.edges):
             if u == v:
@@ -105,14 +107,14 @@ class Graph:
 class ReductionCertificate:
     """Binds a generated instance to its source, seed, and parameters.
 
-    ``index_map`` has one (string index, kind, ref) entry per generated
-    string; kind is "fixing", "clause", "edge", or "zero".
+    ``layout`` lists runs ``(kind, refs)`` in string order, refs a ``range`` or
+    a tuple of strings; kind is "fixing", "clause", "edge", or "zero".
     """
 
     source: str
     seed: Optional[int]
     parameters: dict = field(default_factory=dict)
-    index_map: tuple = ()
+    layout: tuple = ()
 
 
 def clause_string(clause: Clause, n: int) -> Word:
@@ -202,14 +204,8 @@ def reduce_max2sat_to_cms(phi: Max2SatInstance, c: int = 20, seed: int = 0):
     fixing = fixing_strings(c * m, n, seed)
     clauses = b"".join(bytes(clause_string(cl, n).symbols) for cl in phi.clauses)
     inst = CmsInstance(set=StringSet(BINARY, 2 * n, fixing.rows + clauses), d=n)
-    index_map = tuple(
-        [(i, "fixing", str(i)) for i in range(fixing.size)]
-        + [(fixing.size + j, "clause", str(j)) for j in range(m)]
-    )
-    cert = ReductionCertificate(
-        source="max2sat", seed=seed, parameters={"c": c, "d": n}, index_map=index_map
-    )
-    return inst, cert
+    layout = (("fixing", range(c * m)), ("clause", range(m)))
+    return inst, ReductionCertificate(source="max2sat", seed=seed, parameters={"c": c, "d": n}, layout=layout)
 
 
 def incidence_vector(edge, vertex_count: int) -> Word:
@@ -231,17 +227,10 @@ def reduce_dks_to_msfbc(graph: Graph, k: int):
     if not 1 <= k <= graph.vertex_count:
         raise ValueError(f"k must be in [1, {graph.vertex_count}], got {k}")
     words = [incidence_vector(e, graph.vertex_count) for e in graph.edges]
-    zero = Word([0] * graph.vertex_count)
-    words.append(zero)
+    words.append(Word([0] * graph.vertex_count))
     inst = MsfbcInstance(set=StringSet.from_words(words), k=k)
-    index_map = tuple(
-        [(i, "edge", f"{u},{v}") for i, (u, v) in enumerate(graph.edges)]
-        + [(len(graph.edges), "zero", "0")]
-    )
-    cert = ReductionCertificate(
-        source="dks", seed=None, parameters={"k": k}, index_map=index_map
-    )
-    return inst, cert
+    layout = (("edge", tuple(f"{u},{v}" for u, v in graph.edges)), ("zero", ("0",)))
+    return inst, ReductionCertificate(source="dks", seed=None, parameters={"k": k}, layout=layout)
 
 
 def normalize_contains_zero(subset: Sequence[Word], k: int) -> tuple:

@@ -10,9 +10,12 @@ built only on ``Word``, ``hamming`` and ``bad_columns``, as the differential
 oracle for the fast paths: those must return equal ``CenterResult`` and
 ``SubsetResult`` values, including the lexicographic tie-breaks.
 
-The fixing-string references at the end draw one ``next_bit()`` per block
-and score each trial, and each (word, block) pair of the half bound, on its
-own, where ``strsel`` draws bits in blocks and reads one far table per n.
+The fixing-string references draw one ``next_bit()`` per block and score
+each trial, and each (word, block) pair of the half bound, on its own, where
+``strsel`` draws bits in blocks and reads one far table per n. The gap check
+evaluates every (m, k) pair where ``strsel`` evaluates the two ends of each
+k range. The certificate references at the end build one (index, kind, ref)
+entry per generated string, where a certificate records runs of refs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from strsel.exact import (
 )
 from strsel.experiments import all_fixing_words, noncanonical_words
 from strsel.heuristics import SearchConfig
+from strsel.reductions import Graph, Max2SatInstance, ReductionCertificate
 from strsel.rng import SplitMix64, derive_seed
 from strsel.words import (
     BINARY,
@@ -274,3 +278,42 @@ def conditional_half_bound(n: int) -> float:
             dist = np.bitwise_count(np.uint32(s) ^ cond)
             minimum = min(minimum, float((dist >= n + 1).sum()) / len(cond))
     return minimum
+
+
+def gap_failures(c: int, m_max: int, eps_grid) -> list:
+    """("gap", m, k, eps) for the smallest k in [ceil(m/2), m] at which
+    (cm + k)/(1+eps) <= cm + (21/22)k, per failing (m, eps)."""
+    failures = []
+    for m in range(1, m_max + 1):
+        k = np.arange((m + 1) // 2, m + 1, dtype=np.float64)
+        for eps in eps_grid:
+            lhs = (c * m + k) / (1.0 + eps)
+            rhs = c * m + (21.0 / 22.0) * k
+            bad = np.nonzero(lhs <= rhs)[0]
+            if len(bad):
+                failures.append(("gap", m, float(k[bad[0]]), eps))
+    return failures
+
+
+def sat2cms_index_map(phi: Max2SatInstance, c: int) -> tuple:
+    """(index, kind, ref) per string of ``reduce_max2sat_to_cms(phi, c)``."""
+    fixing = c * phi.clause_count
+    return tuple(
+        [(i, "fixing", str(i)) for i in range(fixing)]
+        + [(fixing + j, "clause", str(j)) for j in range(phi.clause_count)]
+    )
+
+
+def dks2msfbc_index_map(graph: Graph) -> tuple:
+    """(index, kind, ref) per string of ``reduce_dks_to_msfbc(graph, k)``."""
+    return tuple(
+        [(i, "edge", f"{u},{v}") for i, (u, v) in enumerate(graph.edges)] + [(len(graph.edges), "zero", "0")]
+    )
+
+
+def serialize_certificate(cert: ReductionCertificate, index_map: tuple, source_path: str = "-") -> str:
+    out = [f"seed={cert.seed}"] if cert.seed is not None else []
+    out += [f"{key}={value}" for key, value in sorted(cert.parameters.items())]
+    out.append(f"source={source_path}")
+    out += [f"map={index} {kind} {ref}" for (index, kind, ref) in index_map]
+    return "\n".join(out) + "\n"

@@ -1,5 +1,6 @@
 """End-to-end CLI: exit-code contract, record re-scoring, reproducibility."""
 
+import re
 import secrets
 
 import pytest
@@ -137,6 +138,21 @@ def test_gen_commands_reproducible(capsys):
     assert g1 == g2 and g1.startswith("p edge 5 4")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--vertices", "3", "--edges", "-2"], "edge count must be in [0, 3] on 3 vertices, got -2"),
+        (["--vertices", "3", "--edges", "4"], "edge count must be in [0, 3] on 3 vertices, got 4"),
+        (["--vertices", "-1", "--edges", "0"], "vertex count must be at least 0, got -1"),
+    ],
+)
+def test_gen_graph_rejects_a_count_out_of_range(capsys, flags, message):
+    status = main(["gen-graph", *flags, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_auto_seed_emitted(capsys):
     _, out = run(capsys, "gen-max2sat", "--n", "3", "--m", "4")
     assert out.startswith("seed=")
@@ -205,6 +221,18 @@ def test_decide_cks_over_budget_exits_before_enumerating(capsys, tmp_path, monke
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err.startswith("resource error:")
+
+
+@pytest.mark.parametrize("recheck_fails", [False, True])
+def test_timing_appends_one_wall_time_line(capsys, cms_file, monkeypatch, recheck_fails):
+    if recheck_fails:
+        monkeypatch.setattr(cli, "coverage", lambda center, inst: -1)
+    argv = ["solve", "cms", "--algo", "local", "--seed", "5", "-f", cms_file, "--recheck"]
+    status, out = run(capsys, *argv)
+    timed_status, timed_out = run(capsys, *argv, "--timing")
+    assert timed_status == status == (1 if recheck_fails else 0)
+    assert timed_out.startswith(out)
+    assert re.fullmatch(r"wall_time_s=\d+\.\d{3}\n", timed_out[len(out) :])
 
 
 def test_solve_dks_recheck_status(capsys, graph_file, monkeypatch):

@@ -14,6 +14,7 @@ from strsel.experiments import (
     all_fixing_words,
     conditional_distance_distribution,
     conditional_half_bound,
+    gap_failures,
     inequality_checks,
     las_vegas_loop,
     lemma_fixing_campaign,
@@ -191,6 +192,18 @@ class TestInequalities:
         report = inequality_checks(20, 500)
         assert report.passed
         assert report.failures == []
+
+    @pytest.mark.parametrize("c", [5, 6, 20, 100])
+    def test_gap_ends_match_the_full_grid(self, c):
+        threshold = 1 / (21 + 44 * c)
+        # the check holds below the threshold and fails, for some or all m, above it
+        eps_grid = [f * threshold for f in (0.1, 0.5, 0.9, 1.0, 1.01, 1.1, 2.0, 10.0)] + [1 / 21, 0.5]
+        for m_max in (2, 3, 17, 400):
+            # equal k too: for eps > 0 every failing m already fails at k = ceil(m/2)
+            fast = gap_failures(c, m_max, eps_grid)
+            assert fast == ref.gap_failures(c, m_max, eps_grid)
+        assert 0 < len(fast) < 400 * len(eps_grid)
+        assert inequality_checks(c, 400).gap_holds == (not ref.gap_failures(c, 400, eps_grid[:3]))
 
     def test_exponent_identity(self):
         assert (20 - 4) ** 2 / (8 * 20) == pytest.approx(1.6)

@@ -1,9 +1,12 @@
 """Parsers and serializers: round trips and line-precise errors."""
 
+from math import comb
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_solvers as ref
 from strsel import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet
 from strsel.formats import (
     ParseError,
@@ -237,5 +240,23 @@ class TestCertificate:
     def test_index_map_total(self):
         phi = random_max2sat(3, 4, seed=3)
         inst, cert = reduce_max2sat_to_cms(phi, c=3, seed=0)
-        indices = [i for (i, _, _) in cert.index_map]
-        assert indices == list(range(inst.set.size))
+        assert [(kind, len(refs)) for kind, refs in cert.layout] == [("fixing", 3 * 4), ("clause", 4)]
+        maps = [ln[len("map="):].split() for ln in serialize_certificate(cert).splitlines() if ln.startswith("map=")]
+        assert [int(index) for index, _, _ in maps] == list(range(inst.set.size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 6), st.integers(1, 4), st.integers(0, 2**64 - 1))
+    def test_sat_certificate_matches_per_string_reference(self, n, extra, c, seed):
+        phi = random_max2sat(n, n + extra, seed=seed)
+        _, cert = reduce_max2sat_to_cms(phi, c=c, seed=seed)
+        expected = ref.serialize_certificate(cert, ref.sat2cms_index_map(phi, c), "phi.cnf")
+        assert serialize_certificate(cert, source_path="phi.cnf") == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_graph_certificate_matches_per_string_reference(self, vertices, data):
+        edges, seed = data.draw(st.integers(0, comb(vertices, 2))), data.draw(st.integers(0, 2**64 - 1))
+        g = random_graph(vertices, edges, seed=seed)
+        _, cert = reduce_dks_to_msfbc(g, data.draw(st.integers(1, vertices)))
+        expected = ref.serialize_certificate(cert, ref.dks2msfbc_index_map(g), "g.col")
+        assert serialize_certificate(cert, source_path="g.col") == expected

@@ -113,7 +113,13 @@ class TestSatReduction:
         assert inst.set.length == 6
         assert inst.d == 3
         assert cert.seed == 1 and cert.parameters["c"] == 20
-        assert len(cert.index_map) == 84
+        assert sum(len(refs) for _, refs in cert.layout) == 84
+
+    def test_layout_holds_runs_not_a_tuple_per_string(self):
+        _, cert = reduce_max2sat_to_cms(random_max2sat(3, 4, seed=0), c=20, seed=1)
+        assert cert.layout == (("fixing", range(80)), ("clause", range(4)))
+        for kind, refs in cert.layout:
+            assert isinstance(refs, range) or all(isinstance(ref, str) for ref in refs)
 
     def test_small_c_shape(self):
         phi = random_max2sat(2, 2, seed=5)
@@ -297,6 +303,10 @@ class TestClaimOptval:
 
 
 class TestGraphValidation:
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be at least 0, got -1"):
+            Graph(-1, ())
+
     def test_loop(self):
         with pytest.raises(ValueError):
             Graph(3, ((1, 1),))
