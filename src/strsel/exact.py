@@ -37,6 +37,21 @@ class BudgetExceededError(Exception):
     """Raised when an exact solver would exceed its enumeration budget."""
 
 
+def check_budget(task: str, work: str, count, budget: int) -> None:
+    """Refuse ``task`` before it allocates anything when ``count`` is above
+    ``budget``; a count equal to it passes. ``work`` writes the count as it is
+    counted ("2^25 assignments"), never as a decimal of thousands of digits.
+    ``count`` is an int, ``("^", b, e)`` for b^e, or ``("C", n, k)`` for C(n, k)
+    with 0 <= k <= n. Neither is built: once e, or min(k, n - k), reaches the
+    budget's bit length, the count is at least 2^bits, above the budget."""
+    bits = budget.bit_length()
+    if isinstance(count, tuple):
+        form, a, b = count
+        count = a ** min(b, bits) if form == "^" else comb(a, min(b, a - b, bits))
+    if count > budget:
+        raise BudgetExceededError(f"{task} needs {work}, above the budget of {budget}")
+
+
 @dataclass(frozen=True)
 class CenterResult:
     center: Word
@@ -106,33 +121,25 @@ def distances(centers: np.ndarray, words: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _check_enum_budget(sset: StringSet, budget: int):
-    count = sset.alphabet.size**sset.length
-    if count > budget:
-        raise BudgetExceededError(
-            f"center enumeration needs {count} words, above the budget of {budget}"
-        )
-
-
-def _center_scores(sset: StringSet, score, enum_budget: int):
+def _center_scores(sset: StringSet, score):
     """Yield ``(lo, score(d))`` for consecutive blocks of all centers in
     lexicographic order, where ``d`` is the block's distance array and ``lo``
-    the index of its first center. The budget is checked before anything is
-    allocated."""
-    _check_enum_budget(sset, enum_budget)
+    the index of its first center."""
+    sigma, length = sset.alphabet.size, sset.length
+    check_budget("center enumeration", f"{sigma}^{length} words", ("^", sigma, length), DEFAULT_ENUM_BUDGET)
     words = packed(sset)
-    total = sset.alphabet.size**sset.length
+    total = sigma**length
     step = block_rows(words)
     for lo in range(0, total, step):
         centers = center_block(sset.alphabet, sset.length, lo, min(lo + step, total))
         yield lo, score(distances(centers, words))
 
 
-def _best_center(sset: StringSet, score, enum_budget: int) -> tuple:
+def _best_center(sset: StringSet, score) -> tuple:
     """(index, score) of the first center in lexicographic order with the
     largest score: first maximum within a block, strictly larger across."""
     best_index, best_value = 0, None
-    for lo, values in _center_scores(sset, score, enum_budget):
+    for lo, values in _center_scores(sset, score):
         i = int(np.argmax(values))
         if best_value is None or values[i] > best_value:
             best_index, best_value = lo + i, int(values[i])
@@ -151,15 +158,15 @@ def anticoverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
     return (dist >= d).sum(axis=1)
 
 
-def solve_cms_exact(inst: CmsInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CenterResult:
+def solve_cms_exact(inst: CmsInstance) -> CenterResult:
     """Maximize coverage over all possible centers."""
-    index, value = _best_center(inst.set, lambda dist: coverage_counts(dist, inst.d), enum_budget)
+    index, value = _best_center(inst.set, lambda dist: coverage_counts(dist, inst.d))
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
-def solve_ffms_exact(inst: FfmsInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CenterResult:
+def solve_ffms_exact(inst: FfmsInstance) -> CenterResult:
     """Maximize anticoverage over all possible centers."""
-    index, value = _best_center(inst.set, lambda dist: anticoverage_counts(dist, inst.d), enum_budget)
+    index, value = _best_center(inst.set, lambda dist: anticoverage_counts(dist, inst.d))
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
@@ -182,18 +189,16 @@ def _cks_result(inst: CksInstance, index: int) -> CenterResult:
     )
 
 
-def solve_cks_exact(inst: CksInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CenterResult:
+def solve_cks_exact(inst: CksInstance) -> CenterResult:
     """Minimize the k-th smallest distance over all possible centers.
 
     With k = n this is the classic Closest String problem.
     """
-    index, _ = _best_center(inst.set, lambda dist: -_kth_smallest(dist, inst.k).astype(np.int64), enum_budget)
+    index, _ = _best_center(inst.set, lambda dist: -_kth_smallest(dist, inst.k).astype(np.int64))
     return _cks_result(inst, index)
 
 
-def solve_msfbc_subsets(
-    inst: MsfbcInstance, subset_budget: int = DEFAULT_SUBSET_BUDGET
-) -> SubsetResult:
+def solve_msfbc_subsets(inst: MsfbcInstance) -> SubsetResult:
     """The largest subset with at most k bad columns, ties to the first index
     list in lexicographic order, from one table over all 2^n subsets.
 
@@ -204,10 +209,7 @@ def solve_msfbc_subsets(
     subsets of one size the largest mask is the first index list.
     """
     n = inst.set.size
-    if 2**n > subset_budget:
-        raise BudgetExceededError(
-            f"subset enumeration needs 2^{n} subsets, above the budget of {subset_budget}"
-        )
+    check_budget("subset enumeration", f"2^{n} subsets", ("^", 2, n), DEFAULT_SUBSET_BUDGET)
     ell, sigma = inst.set.length, inst.set.alphabet.size
     onehot = (symbol_matrix(inst.set)[:, :, None] == np.arange(sigma)).reshape(n, ell * sigma)
     limbs = np.packbits(np.pad(onehot, ((0, 0), (0, -ell * sigma % 64))), axis=1).view(np.uint64)
@@ -228,9 +230,7 @@ def solve_msfbc_subsets(
     return SubsetResult(indices=indices, bad_column_count=ell - int(constant[mask]))
 
 
-def solve_msfbc_columns(
-    inst: MsfbcInstance, column_budget: int = DEFAULT_SUBSET_BUDGET
-) -> SubsetResult:
+def solve_msfbc_columns(inst: MsfbcInstance) -> SubsetResult:
     """Independent exact MSFBC algorithm used to cross-check the subset solver.
 
     A subset has at most k bad columns iff all its words agree outside some
@@ -240,10 +240,7 @@ def solve_msfbc_columns(
     """
     ell = inst.set.length
     j_size = min(inst.k, ell)
-    if comb(ell, j_size) > column_budget:
-        raise BudgetExceededError(
-            f"column enumeration needs C({ell},{j_size}) sets, above the budget of {column_budget}"
-        )
+    check_budget("column enumeration", f"C({ell},{j_size}) column sets", ("C", ell, j_size), DEFAULT_SUBSET_BUDGET)
     words = inst.set.words
     symbols = [w.symbols for w in words]
     best = (0, ())
@@ -263,14 +260,11 @@ def solve_msfbc_columns(
     return SubsetResult(indices=indices, bad_column_count=len(bad))
 
 
-def solve_max2sat_exact(phi, max_vars: int = DEFAULT_ASSIGNMENT_VARS):
+def solve_max2sat_exact(phi):
     """Enumerate all assignments; ties go to the lexicographically smallest
     assignment (false < true, variable order). Returns (assignment, count)."""
     n = phi.variable_count
-    if n > max_vars:
-        raise BudgetExceededError(
-            f"assignment enumeration needs 2^{n} assignments, above the cap of 2^{max_vars}"
-        )
+    check_budget("assignment enumeration", f"2^{n} assignments", ("^", 2, n), 2**DEFAULT_ASSIGNMENT_VARS)
     best = None
     best_count = -1
     for assignment in itertools.product((False, True), repeat=n):
@@ -280,18 +274,14 @@ def solve_max2sat_exact(phi, max_vars: int = DEFAULT_ASSIGNMENT_VARS):
     return best, best_count
 
 
-def solve_dks_exact(graph, k: int, subset_budget: int = DEFAULT_SUBSET_BUDGET):
+def solve_dks_exact(graph, k: int):
     """Densest-k-Subgraph by exhaustive k-subset enumeration.
 
     Returns (vertex tuple, induced edge count); vertices are 1-based.
     """
+    graph.check_k(k)
     v = graph.vertex_count
-    if k > v:
-        raise ValueError(f"k={k} exceeds the vertex count {v}")
-    if comb(v, k) > subset_budget:
-        raise BudgetExceededError(
-            f"subset enumeration needs C({v},{k}) subsets, above the budget of {subset_budget}"
-        )
+    check_budget("subset enumeration", f"C({v},{k}) subsets", ("C", v, k), DEFAULT_SUBSET_BUDGET)
     # max keeps the first maximum, the lexicographically smallest subset
     best = max(itertools.combinations(range(1, v + 1), k), key=graph.induced_edge_count)
     return best, graph.induced_edge_count(best)

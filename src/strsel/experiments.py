@@ -56,15 +56,11 @@ def all_fixing_words(n: int) -> np.ndarray:
 def _check_n(n: int):
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    if n > MAX_N:
-        raise exact.BudgetExceededError(f"the far table enumerates 4^{n} words, above the n <= {MAX_N} cap")
+    exact.check_budget("the far table", f"4^{n} words", ("^", 4, n), 4**MAX_N)
 
 
 def _check_fixing_count(count: int):
-    if count >= _FLOAT32_EXACT:
-        raise exact.BudgetExceededError(
-            f"{count} fixing strings, above the 2^24 - 1 that float32 far counts hold exactly"
-        )
+    exact.check_budget("the float32 far count", f"{count} fixing strings", count, _FLOAT32_EXACT - 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -133,7 +129,6 @@ def lemma_fixing_trial(n: int, m: int, c: int, seed: int) -> TrialOutcome:
 
 @dataclass
 class TrialReport:
-    parameters: dict
     trials: int
     failures: int = 0
     worst_witnesses: list = field(default_factory=list)
@@ -161,7 +156,7 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     if trials < 0:
         raise ValueError(f"--trials must be at least 0, got {trials}")
     _check_trial(n, m, c)
-    report = TrialReport(parameters={"n": n, "m": m, "c": c, "seed": seed}, trials=trials)
+    report = TrialReport(trials=trials)
     if trials == 0:
         return report
     for t in range(trials):
@@ -220,8 +215,6 @@ def conditional_distance_distribution(s_bits: int, block: int, n: int) -> dict:
 
 @dataclass
 class InequalityReport:
-    c: int
-    m_max: int
     epsilon_threshold: float
     gap_holds: bool
     structural_threshold_holds: bool
@@ -267,8 +260,6 @@ def inequality_checks(c: int, m_max: int, n_max: int = 60) -> InequalityReport:
     eps_grid = [0.1 * threshold, 0.5 * threshold, 0.9 * threshold]
     failures = gap_failures(c, m_max, eps_grid)
     report = InequalityReport(
-        c=c,
-        m_max=m_max,
         epsilon_threshold=threshold,
         gap_holds=not failures,
         structural_threshold_holds=True,

@@ -71,7 +71,7 @@ def parse_strings_instance(text: str, kind: type | None = None):
     if len(lines) < 2 or not lines[1].startswith("param"):
         raise ParseError(2, "missing 'param <d|k> <value>' line")
     parts = lines[1].split()
-    if len(parts) != 3 or parts[1] not in ("d", "k"):
+    if len(parts) != 3 or parts[0] != "param" or parts[1] not in ("d", "k"):
         raise ParseError(2, f"expected 'param <d|k> <value>', got {lines[1]!r}")
     letter = parts[1]
     value = _int(parts[2], 2, "parameter value")
@@ -111,6 +111,8 @@ def parse_cnf(text: str) -> Max2SatInstance:
         if not ln or ln.startswith("c"):
             continue
         if ln.startswith("p"):
+            if n is not None:
+                raise ParseError(lineno, "a second 'p cnf' header")
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(lineno, f"expected 'p cnf <n> <m>', got {ln!r}")
@@ -151,6 +153,8 @@ def parse_graph(text: str) -> Graph:
         if not ln or ln.startswith("c"):
             continue
         if ln.startswith("p"):
+            if v is not None:
+                raise ParseError(lineno, "a second 'p edge' header")
             parts = ln.split()
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(lineno, f"expected 'p edge <V> <E>', got {ln!r}")

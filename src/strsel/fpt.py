@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import DEFAULT_ENUM_BUDGET, CenterResult, _center_scores, _cks_result, _kth_smallest, solve_cks_exact
-from .exact import symbol_matrix
+from .exact import CenterResult, _center_scores, _cks_result, _kth_smallest, solve_cks_exact, symbol_matrix
 from .rng import SplitMix64
 from .words import CksInstance, hamming
 
@@ -66,9 +65,7 @@ def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> 
 
     The drawn solution is uniform over the centers attaining the drawn
     radius (or d_opt, if none does), in lexicographic order."""
-    radii = np.concatenate(
-        [r for _, r in _center_scores(inst.set, lambda dist: _kth_smallest(dist, inst.k), DEFAULT_ENUM_BUDGET)]
-    )
+    radii = np.concatenate([r for _, r in _center_scores(inst.set, lambda dist: _kth_smallest(dist, inst.k))])
     d_opt = int(radii.min())
     hi = int((1 + eps) * d_opt)
     rng = SplitMix64(seed)

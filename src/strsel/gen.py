@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from math import comb
 
+from . import exact
 from .reductions import Graph, Literal, Max2SatInstance
 from .rng import SplitMix64
 from .words import Alphabet, StringSet
@@ -31,6 +32,8 @@ def random_graph(vertex_count: int, edge_count: int, seed: int) -> Graph:
     total = comb(max(vertex_count, 0), 2)
     if not 0 <= edge_count <= total:
         raise ValueError(f"edge count must be in [0, {total}] on {vertex_count} vertices, got {edge_count}")
+    # the pairs are built as one list: the subset budget caps these 2-subsets
+    exact.check_budget("graph generation", f"C({vertex_count},2) vertex pairs", total, exact.DEFAULT_SUBSET_BUDGET)
     rng = SplitMix64(seed)
     all_pairs = [(u, v) for u in range(1, vertex_count + 1) for v in range(u + 1, vertex_count + 1)]
     rng.shuffle(all_pairs)

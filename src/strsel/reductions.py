@@ -98,6 +98,11 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def check_k(self, k: int):
+        """The densest-k-subgraph size rule, 1 <= k <= vertex count."""
+        if not 1 <= k <= self.vertex_count:
+            raise ValueError(f"k must be in [1, {self.vertex_count}], got {k}")
+
     def induced_edge_count(self, vertices) -> int:
         chosen = set(vertices)
         return sum(1 for (u, v) in self.edges if u in chosen and v in chosen)
@@ -105,13 +110,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class ReductionCertificate:
-    """Binds a generated instance to its source, seed, and parameters.
+    """Binds a generated instance to its seed and parameters.
 
     ``layout`` lists runs ``(kind, refs)`` in string order, refs a ``range`` or
     a tuple of strings; kind is "fixing", "clause", "edge", or "zero".
     """
 
-    source: str
     seed: Optional[int]
     parameters: dict = field(default_factory=dict)
     layout: tuple = ()
@@ -197,15 +201,12 @@ def reduce_max2sat_to_cms(phi: Max2SatInstance, c: int = 20, seed: int = 0):
         )
     if c < 1:
         raise ValueError("c must be >= 1")
-    if (c + 1) * m > MAX_REDUCTION_ROWS:
-        raise exact.BudgetExceededError(
-            f"the reduction builds (c+1)*m = {(c + 1) * m} strings, above the budget of {MAX_REDUCTION_ROWS}"
-        )
+    exact.check_budget("the reduction", f"(c+1)*m = {(c + 1) * m} strings", (c + 1) * m, MAX_REDUCTION_ROWS)
     fixing = fixing_strings(c * m, n, seed)
     clauses = b"".join(bytes(clause_string(cl, n).symbols) for cl in phi.clauses)
     inst = CmsInstance(set=StringSet(BINARY, 2 * n, fixing.rows + clauses), d=n)
     layout = (("fixing", range(c * m)), ("clause", range(m)))
-    return inst, ReductionCertificate(source="max2sat", seed=seed, parameters={"c": c, "d": n}, layout=layout)
+    return inst, ReductionCertificate(seed=seed, parameters={"c": c, "d": n}, layout=layout)
 
 
 def incidence_vector(edge, vertex_count: int) -> Word:
@@ -224,13 +225,12 @@ def incidence_vector(edge, vertex_count: int) -> Word:
 def reduce_dks_to_msfbc(graph: Graph, k: int):
     """Deterministic reduction: one incidence string per edge plus the
     all-zero string, with the same parameter k."""
-    if not 1 <= k <= graph.vertex_count:
-        raise ValueError(f"k must be in [1, {graph.vertex_count}], got {k}")
+    graph.check_k(k)
     words = [incidence_vector(e, graph.vertex_count) for e in graph.edges]
     words.append(Word([0] * graph.vertex_count))
     inst = MsfbcInstance(set=StringSet.from_words(words), k=k)
     layout = (("edge", tuple(f"{u},{v}" for u, v in graph.edges)), ("zero", ("0",)))
-    return inst, ReductionCertificate(source="dks", seed=None, parameters={"k": k}, layout=layout)
+    return inst, ReductionCertificate(seed=None, parameters={"k": k}, layout=layout)
 
 
 def normalize_contains_zero(subset: Sequence[Word], k: int) -> tuple:

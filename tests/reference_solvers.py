@@ -214,7 +214,7 @@ def solve_msfbc_columns(inst: MsfbcInstance, column_budget: int = DEFAULT_SUBSET
     j_size = min(inst.k, ell)
     if comb(ell, j_size) > column_budget:
         raise BudgetExceededError(
-            f"column enumeration needs C({ell},{j_size}) sets, above the budget of {column_budget}"
+            f"column enumeration needs C({ell},{j_size}) column sets, above the budget of {column_budget}"
         )
     words = inst.set.words
     best: Optional[tuple] = None

@@ -1,7 +1,12 @@
 """End-to-end CLI: exit-code contract, record re-scoring, reproducibility."""
 
+import os
 import re
 import secrets
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +277,72 @@ def test_experiment_fixing_lemma_rejects_bad_flags(capsys, flags, message):
     assert main(["experiment", "fixing-lemma", "--seed", "1", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.strip() == message
+
+
+LONG_ROWS = "\n".join(symbol * 15000 for symbol in "01" * 2) + "\n"
+
+
+# inputs whose work is an exponent far past any budget: l = 15,000 centers, a
+# 4^(10^9) far table, 2^(10^9) assignments and C(10^9, 5*10^8) vertex subsets
+@pytest.mark.parametrize(
+    "argv, text, work",
+    [
+        pytest.param(["solve", "cms"], "strings 2 15000 4\nparam d 1\n" + LONG_ROWS, "2^15000 words", id="cms"),
+        pytest.param(["solve", "cks"], "strings 2 15000 4\nparam k 2\n" + LONG_ROWS, "2^15000 words", id="cks"),
+        pytest.param(["decide-cks", "--d", "1", "--oracle", "inflate:1"], "strings 2 15000 4\nparam k 2\n" + LONG_ROWS,
+                     "2^15000 words", id="decide-cks"),
+        pytest.param(["experiment", "fixing-lemma", "--n", "1000000000", "--m", "1000000000", "--trials", "1"], None,
+                     "4^1000000000 words", id="fixing-lemma"),
+        pytest.param(["solve", "max2sat"], "p cnf 1000000000 1\n1 2 0\n", "2^1000000000 assignments", id="max2sat"),
+        pytest.param(["solve", "dks", "--k", "500000000"], "p edge 1000000000 0\n", "C(1000000000,500000000) subsets",
+                     id="dks"),
+    ],
+)
+def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work):
+    files = []
+    if text is not None:
+        (tmp_path / "input.txt").write_text(text)
+        files = ["-f", str(tmp_path / "input.txt")]
+    started = time.perf_counter()
+    status = main(argv + files)
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("resource error: ") and f"needs {work}, above the budget of " in captured.err
+    assert elapsed < 1.0
+
+
+def test_module_entry_point_exits_2_on_a_refusal(tmp_path):
+    (tmp_path / "phi.cnf").write_text("p cnf 1000000000 1\n1 2 0\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "strsel.cli", "solve", "max2sat", "-f", str(tmp_path / "phi.cnf")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("resource error: assignment enumeration needs 2^1000000000 assignments")
+
+
+def test_gen_graph_refuses_a_pair_list_over_budget(capsys, monkeypatch):
+    from strsel.rng import SplitMix64
+
+    monkeypatch.setattr(SplitMix64, "shuffle", lambda self, items: pytest.fail("shuffled the vertex pairs"))
+    status = main(["gen-graph", "--vertices", "20000", "--edges", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "resource error: graph generation needs C(20000,2) vertex pairs, above the budget of 1048576\n"
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+@pytest.mark.parametrize(
+    "argv", [["solve", "dks"], ["reduce", "dks2msfbc", "-o", "out"], ["verify", "claim-optval"]]
+)
+def test_dks_k_outside_one_to_vertex_count_exits_2(capsys, graph_file, monkeypatch, tmp_path, argv, k):
+    monkeypatch.chdir(tmp_path)
+    status = main(argv + ["-f", graph_file, "--k", k])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: k must be in [1, 3], got {k}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_fixing_lemma_over_float32_count_exits_before_drawing(capsys, monkeypatch):

@@ -2,9 +2,11 @@
 tie-breaking rules."""
 
 import itertools
+from math import comb
 
 import pytest
 
+from strsel import exact, experiments, reductions
 from strsel import (
     CksInstance,
     CmsInstance,
@@ -20,6 +22,7 @@ from strsel import (
 )
 from strsel.exact import (
     BudgetExceededError,
+    check_budget,
     solve_cks_exact,
     solve_cms_exact,
     solve_dks_exact,
@@ -84,10 +87,11 @@ class TestCms:
         res = solve_cms_exact(inst)
         assert res.value == 1 and str(res.center) == "00"
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         inst = CmsInstance(sset("0" * 10), d=0)
+        monkeypatch.setattr(exact, "DEFAULT_ENUM_BUDGET", 100)
         with pytest.raises(BudgetExceededError, match="budget"):
-            solve_cms_exact(inst, enum_budget=100)
+            solve_cms_exact(inst)
 
     def test_monotone_in_d(self):
         s = random_string_set(2, 6, 5, seed=11)
@@ -195,10 +199,11 @@ class TestMsfbc:
         sizes = [len(solve_msfbc_subsets(MsfbcInstance(s, k)).indices) for k in range(6)]
         assert sizes == sorted(sizes)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         s = random_string_set(2, 3, 12, seed=0)
+        monkeypatch.setattr(exact, "DEFAULT_SUBSET_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            solve_msfbc_subsets(MsfbcInstance(s, 1), subset_budget=100)
+            solve_msfbc_subsets(MsfbcInstance(s, 1))
 
 
 class TestMax2Sat:
@@ -273,3 +278,69 @@ class TestDks:
                     g.induced_edge_count(c) for c in itertools.combinations(range(1, 7), k)
                 )
                 assert solve_dks_exact(g, k)[1] == best
+
+
+# site -> (module, its budget constant, the constant's value when the budget equals the
+#          count, a call that runs the check, the refusal with the constant one below)
+BUDGET_SITES = {
+    "centers": (exact, "DEFAULT_ENUM_BUDGET", 2**10, lambda: solve_cms_exact(CmsInstance(sset("0" * 10), d=0)),
+                "center enumeration needs 2^10 words, above the budget of 1023"),
+    "msfbc subsets": (exact, "DEFAULT_SUBSET_BUDGET", 2**12,
+                      lambda: solve_msfbc_subsets(MsfbcInstance(random_string_set(2, 3, 12, seed=0), 1)),
+                      "subset enumeration needs 2^12 subsets, above the budget of 4095"),
+    "msfbc columns": (exact, "DEFAULT_SUBSET_BUDGET", 56,
+                      lambda: solve_msfbc_columns(MsfbcInstance(random_string_set(2, 8, 5, seed=0), 3)),
+                      "column enumeration needs C(8,3) column sets, above the budget of 55"),
+    # the constant is an exponent: one below it is a budget of 2^2 assignments
+    "max2sat": (exact, "DEFAULT_ASSIGNMENT_VARS", 3, lambda: solve_max2sat_exact(random_max2sat(3, 4, seed=0)),
+                "assignment enumeration needs 2^3 assignments, above the budget of 4"),
+    "dks": (exact, "DEFAULT_SUBSET_BUDGET", 20, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),
+            "subset enumeration needs C(6,3) subsets, above the budget of 19"),
+    "sat2cms rows": (reductions, "MAX_REDUCTION_ROWS", 84,
+                     lambda: reductions.reduce_max2sat_to_cms(random_max2sat(3, 4, seed=0), c=20, seed=1),
+                     "the reduction needs (c+1)*m = 84 strings, above the budget of 83"),
+    # an exponent too: 4^MAX_N words
+    "far table": (experiments, "MAX_N", 3, lambda: experiments.per_pair_quarter_bound(3),
+                  "the far table needs 4^3 words, above the budget of 16"),
+    # an exclusive bound: the budget is _FLOAT32_EXACT - 1 strings
+    "fixing count": (experiments, "_FLOAT32_EXACT", 7, lambda: experiments.lemma_fixing_trial(3, 3, 2, seed=0),
+                     "the float32 far count needs 6 fixing strings, above the budget of 5"),
+    "graph pairs": (exact, "DEFAULT_SUBSET_BUDGET", 15, lambda: random_graph(6, 7, seed=0),
+                    "graph generation needs C(6,2) vertex pairs, above the budget of 14"),
+}
+
+
+@pytest.mark.parametrize("site", list(BUDGET_SITES))
+def test_every_budget_passes_its_count_and_refuses_one_more(monkeypatch, site):
+    module, name, at_count, call, refusal = BUDGET_SITES[site]
+    monkeypatch.setattr(module, name, at_count)
+    call()
+    monkeypatch.setattr(module, name, at_count - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        call()
+    assert str(err.value) == refusal
+
+
+def test_check_budget_compares_powers_and_binomials_as_built_integers():
+    for budget in [*range(70), 2**20 - 1, 2**20, 2**24]:
+        for base, exponent in itertools.product((2, 3, 4), range(30)):
+            refused = base**exponent > budget
+            try:
+                check_budget("t", "w", ("^", base, exponent), budget)
+            except BudgetExceededError:
+                assert refused, (base, exponent, budget)
+            else:
+                assert not refused, (base, exponent, budget)
+        for n in range(50):
+            for k in range(n + 1):
+                refused = comb(n, k) > budget
+                try:
+                    check_budget("t", "w", ("C", n, k), budget)
+                except BudgetExceededError:
+                    assert refused, (n, k, budget)
+                else:
+                    assert not refused, (n, k, budget)
+    # exponents and binomials far too large to build are refused all the same
+    for count in (("^", 2, 10**18), ("C", 10**18, 5 * 10**17), ("C", 10**18, 10**18 - 21)):
+        with pytest.raises(BudgetExceededError, match="t needs w, above the budget of 1048576"):
+            check_budget("t", "w", count, 2**20)

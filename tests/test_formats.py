@@ -48,6 +48,11 @@ class TestStringsFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_strings_instance("strings 2 2 1\n00\n")
 
+    def test_param_token_is_required(self):
+        with pytest.raises(ParseError, match="expected 'param <d|k> <value>', got 'paramX d 1'") as err:
+            parse_strings_instance("strings 2 2 1\nparamX d 1\n00\n")
+        assert err.value.line == 2
+
     def test_wrong_length_named(self):
         with pytest.raises(ParseError, match="length 3, expected 2"):
             parse_strings_instance("strings 2 2 2\nparam d 1\n00\n010\n")
@@ -143,6 +148,11 @@ class TestCnfFormat:
             parse_cnf(text)
         assert err.value.line == line
 
+    def test_second_header_names_its_line(self):
+        with pytest.raises(ParseError, match="second 'p cnf' header") as err:
+            parse_cnf("p cnf 2 1\n1 2 0\np cnf 5 1\n")
+        assert err.value.line == 3
+
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError, match="promises 2"):
             parse_cnf("p cnf 2 2\n1 2 0\n")
@@ -209,6 +219,11 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="must be at least 0") as err:
             parse_graph(text)
         assert err.value.line == line
+
+    def test_second_header_names_its_line(self):
+        with pytest.raises(ParseError, match="second 'p edge' header") as err:
+            parse_graph("p edge 3 1\ne 1 2\nc\np edge 5 1\n")
+        assert err.value.line == 4
 
     def test_empty_graph(self):
         assert parse_graph("p edge 0 0\n") == Graph(0, ())

@@ -198,8 +198,12 @@ def test_msfbc_subset_table_matches_reference(sset):
         assert solve_msfbc_subsets(inst) == ref.solve_msfbc_subsets(inst)
     budget = 2**sset.size - 1
     # the budget is checked before anything is built
-    with pytest.raises(BudgetExceededError) as fast, mock.patch.object(exact, "symbol_matrix", None):
-        solve_msfbc_subsets(inst, subset_budget=budget)
+    with (
+        pytest.raises(BudgetExceededError) as fast,
+        mock.patch.object(exact, "symbol_matrix", None),
+        mock.patch.object(exact, "DEFAULT_SUBSET_BUDGET", budget),
+    ):
+        solve_msfbc_subsets(inst)
     with pytest.raises(BudgetExceededError) as slow:
         ref.solve_msfbc_subsets(inst, subset_budget=budget)
     assert str(fast.value) == str(slow.value)
