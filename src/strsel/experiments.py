@@ -5,6 +5,10 @@ retry loop.
 
 Words are manipulated as packed integers here (blocks are adjacent bit
 pairs), which keeps the exhaustive enumerations fast enough to run in CI.
+Every check of the structural property reads one far table per n. A
+campaign scores a block of trials with one draw of all their fixing strings
+and one product with that table, and re-scores trial 0 on its own through
+:func:`lemma_fixing_trial`.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from .reductions import (
     fixing_strings,
     reduce_max2sat_to_cms,
 )
-from .rng import derive_seed
+from .rng import derive_seed, stream_bits
 from .words import StringSet, Word
 
 MAX_N = 8
+# values of m that experiment inequalities sweeps; 2^24 of them take a few seconds
+MAX_GAP_M = 2**24
 # a float32 sum of 0/1 terms is an exact integer while it stays below 2^24
 _FLOAT32_EXACT = 1 << 24
 
@@ -146,12 +152,55 @@ def one_sided_binomial_slack(p: float, trials: int, z: float = 1.645) -> float:
     return z * math.sqrt(p * (1 - p) / trials)
 
 
+# trials per campaign block, and fixing strings per draw, keep the uint64
+# draws and the float32 far counts near 2^18 elements, a few MB each
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _fixing_indices(states: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """For each trial state, the :func:`all_fixing_words` indices of its
+    fixing strings ``lo`` .. ``hi - 1``: a string's n draws, read as a
+    big-endian number (a ``uint8``, as n <= MAX_N = 8)."""
+    draws = stream_bits(states, lo * n, hi * n).reshape(len(states), hi - lo, n)
+    return draws @ (1 << np.arange(n - 1, -1, -1)).astype(np.uint8)
+
+
+def _failing_trials(n: int, m: int, count: int, trials: int, seed: int):
+    """Yield ``(trial, witness Word, far count)`` for each failing trial in
+    order, as :func:`lemma_fixing_trial` scores it with ``count`` strings.
+
+    A block of trials is scored at once: their held counts (how many times
+    each trial draws each fixing word) come from one offset ``np.bincount``
+    per chunk of strings, and one product of the far table with them gives
+    every word's far count in every trial. The witness is the trial's first
+    failing word in :func:`noncanonical_words` order."""
+    words, fixing, far = _far_table(n)
+    rows = max(1, _BLOCK_ELEMENTS // max(count * n, len(words)))
+    chunk = max(1, _BLOCK_ELEMENTS // (rows * n))
+    for lo in range(0, trials, rows):
+        states = derive_seed(seed, np.arange(lo, min(lo + rows, trials), dtype=np.uint64))
+        offsets = np.arange(len(states))[:, None] * len(fixing)
+        held = sum(
+            np.bincount((_fixing_indices(states, first, min(first + chunk, count), n) + offsets).ravel(),
+                        minlength=len(states) * len(fixing))
+            for first in range(0, count, chunk)
+        )
+        far_counts = held.reshape(len(states), -1).astype(np.float32) @ far.T
+        failing = far_counts < m
+        for t in np.flatnonzero(failing.any(axis=1)):
+            i = int(failing[t].argmax())
+            yield lo + int(t), Word.from_index(int(words[i]), 2 * n), int(far_counts[t, i])
+
+
 def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> TrialReport:
     """Repeated trials of the structural property; the observed failure
     fraction is compared against the 0.9^n bound plus binomial slack.
 
     The comparison is recorded in the report, not raised: it is a
     statistical claim, not a unit test.
+
+    Trials are scored in blocks by :func:`_failing_trials`; trial 0 is scored
+    again on its own by :func:`lemma_fixing_trial`, and a mismatch raises.
     """
     if trials < 0:
         raise ValueError(f"--trials must be at least 0, got {trials}")
@@ -159,11 +208,13 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     report = TrialReport(trials=trials)
     if trials == 0:
         return report
-    for t in range(trials):
-        outcome = lemma_fixing_trial(n, m, c, derive_seed(seed, t))
-        if not outcome.holds:
-            report.failures += 1
-            report.worst_witnesses.append((t, str(outcome.witness), outcome.far_count))
+    failures = list(_failing_trials(n, m, c * m, trials, seed))
+    batch = TrialOutcome(False, *failures[0][1:]) if failures and failures[0][0] == 0 else TrialOutcome(True)
+    single = lemma_fixing_trial(n, m, c, derive_seed(seed, 0))
+    if single != batch:
+        raise AssertionError(f"the campaign scored trial 0 as {batch}, lemma_fixing_trial as {single}")
+    report.failures = len(failures)
+    report.worst_witnesses = [(t, str(witness), far) for t, witness, far in failures]
     report.bound = 0.9**n
     report.slack = one_sided_binomial_slack(report.bound, trials)
     report.within_bound = report.failure_fraction <= report.bound + report.slack
@@ -231,6 +282,7 @@ def gap_failures(c: int, m_max: int, eps_grid) -> list:
     has (cm + k)/(1+eps) <= cm + (21/22)k. The gap is affine in k, so only the
     two ends are evaluated, 2^16 values of m at a time; k is the lower end
     when the check fails there, else m."""
+    exact.check_budget("the gap sweep", f"{m_max} values of m", m_max, MAX_GAP_M)
     failures = []
     for lo in range(1, m_max + 1, 1 << 16):
         m = np.arange(lo, min(lo + (1 << 16), m_max + 1), dtype=np.float64)[:, None]

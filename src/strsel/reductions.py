@@ -26,6 +26,8 @@ from .words import BINARY, CmsInstance, ItemError, MsfbcInstance, StringSet, Wor
 
 # reduce_max2sat_to_cms holds every string, and a certificate line per string, in memory
 MAX_REDUCTION_ROWS = 2**20
+# reduce_dks_to_msfbc builds V*(E+1) symbols, one word of V per edge plus the zero word
+MAX_REDUCTION_SYMBOLS = 2**24
 
 
 class NonCanonicalCenterError(Exception):
@@ -226,6 +228,8 @@ def reduce_dks_to_msfbc(graph: Graph, k: int):
     """Deterministic reduction: one incidence string per edge plus the
     all-zero string, with the same parameter k."""
     graph.check_k(k)
+    symbols = graph.vertex_count * (len(graph.edges) + 1)
+    exact.check_budget("the reduction", f"V*(E+1) = {symbols} symbols", symbols, MAX_REDUCTION_SYMBOLS)
     words = [incidence_vector(e, graph.vertex_count) for e in graph.edges]
     words.append(Word([0] * graph.vertex_count))
     inst = MsfbcInstance(set=StringSet.from_words(words), k=k)

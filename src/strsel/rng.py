@@ -22,6 +22,16 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
+def stream_bits(states, lo: int, hi: int) -> np.ndarray:
+    """Draws ``lo`` .. ``hi - 1`` of the splitmix64 bit stream of each
+    ``uint64`` state in ``states``: draw j of state s is
+    ``_mix(s + (j + 1) * GOLDEN) >> 63``, the bit the (j + 1)-th
+    :meth:`SplitMix64.next_bit` call returns. One ``uint8`` array of shape
+    ``states.shape + (hi - lo,)``."""
+    steps = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return (_mix(np.asarray(states, dtype=np.uint64)[..., None] + steps) >> 63).astype(np.uint8)
+
+
 class SplitMix64:
     """64-bit splitmix generator; state advances by the golden-ratio constant."""
 
@@ -37,13 +47,12 @@ class SplitMix64:
 
     def bits(self, count: int) -> np.ndarray:
         """The next ``count`` :meth:`next_bit` draws as one ``uint8`` array;
-        the state advances exactly as ``count`` calls would. The ``uint64``
-        states are mixed in blocks of 2^20, so a large draw needs about one
+        the state advances exactly as ``count`` calls would. The draws are
+        :func:`stream_bits` blocks of 2^20, so a large draw needs about one
         byte per bit."""
         out = np.empty(count, dtype=np.uint8)
         for lo in range(0, count, _BLOCK):
-            steps = np.arange(lo + 1, min(count, lo + _BLOCK) + 1, dtype=np.uint64)
-            out[lo : lo + _BLOCK] = _mix(np.uint64(self._state) + steps * np.uint64(_GOLDEN)) >> 63
+            out[lo : lo + _BLOCK] = stream_bits(self._state, lo, min(count, lo + _BLOCK))
         self._state = (self._state + count * _GOLDEN) & _MASK
         return out
 
@@ -63,6 +72,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic sub-seed for trial ``index`` of a campaign seeded by ``seed``."""
+def derive_seed(seed: int, index):
+    """Deterministic sub-seed for trial ``index`` of a campaign seeded by
+    ``seed``; for a ``uint64`` array of indices, the array of their sub-seeds."""
     return _mix((seed & _MASK) ^ _mix((index + 1) & _MASK))

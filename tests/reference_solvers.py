@@ -11,8 +11,9 @@ oracle for the fast paths: those must return equal ``CenterResult`` and
 ``SubsetResult`` values, including the lexicographic tie-breaks.
 
 The fixing-string references draw one ``next_bit()`` per block and score
-each trial, and each (word, block) pair of the half bound, on its own, where
-``strsel`` draws bits in blocks and reads one far table per n. The gap check
+each trial of a campaign, and each (word, block) pair of the half bound, on
+its own, where ``strsel`` draws the bits of a block of trials at once and
+scores them with one product against the far table of n. The gap check
 evaluates every (m, k) pair where ``strsel`` evaluates the two ends of each
 k range. The certificate references at the end build one (index, kind, ref)
 entry per generated string, where a certificate records runs of refs.
@@ -21,7 +22,7 @@ entry per generated string, where a certificate records runs of refs.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, sqrt
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -258,6 +259,27 @@ def structural_property_holds(fixing: StringSet, n: int, m: int):
         return True, None, None
     i = int(bad[0])
     return False, Word.from_index(int(s_arr[i]), 2 * n), int(counts[i])
+
+
+def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> dict:
+    """The fixing-lemma campaign report fields, trial by trial: per-bit draws
+    of each trial's c*m fixing strings, scored by per-pair far counts."""
+    witnesses = []
+    for t in range(trials):
+        holds, witness, far = structural_property_holds(fixing_strings(c * m, n, derive_seed(seed, t)), n, m)
+        if not holds:
+            witnesses.append((t, str(witness), far))
+    if trials == 0:
+        return {"failures": 0, "worst_witnesses": [], "bound": None, "slack": None, "within_bound": None}
+    bound = 0.9**n
+    slack = 1.645 * sqrt(bound * (1 - bound) / trials)
+    return {
+        "failures": len(witnesses),
+        "worst_witnesses": witnesses,
+        "bound": bound,
+        "slack": slack,
+        "within_bound": len(witnesses) / trials <= bound + slack,
+    }
 
 
 def per_pair_quarter_bound(n: int) -> float:

@@ -312,6 +312,30 @@ def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work)
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, text, refusal",
+    [
+        pytest.param(["reduce", "dks2msfbc", "--k", "1", "-o", "out"], "p edge 1000000000 1\ne 1 2\n",
+                     "the reduction needs V*(E+1) = 2000000000 symbols, above the budget of 16777216", id="dks2msfbc"),
+        pytest.param(["experiment", "inequalities", "--m", "1000000000"], None,
+                     "the gap sweep needs 1000000000 values of m, above the budget of 16777216", id="inequalities"),
+    ],
+)
+def test_work_linear_in_a_huge_count_is_refused_at_once(capsys, monkeypatch, tmp_path, argv, text, refusal):
+    monkeypatch.chdir(tmp_path)
+    files = []
+    if text is not None:
+        (tmp_path / "input.txt").write_text(text)
+        files = ["-f", str(tmp_path / "input.txt")]
+    started = time.perf_counter()
+    status = main(argv + files)
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == "" and captured.err == f"resource error: {refusal}\n"
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point_exits_2_on_a_refusal(tmp_path):
     (tmp_path / "phi.cnf").write_text("p cnf 1000000000 1\n1 2 0\n")
     src = str(Path(cli.__file__).parents[1])

@@ -307,6 +307,11 @@ BUDGET_SITES = {
                      "the float32 far count needs 6 fixing strings, above the budget of 5"),
     "graph pairs": (exact, "DEFAULT_SUBSET_BUDGET", 15, lambda: random_graph(6, 7, seed=0),
                     "graph generation needs C(6,2) vertex pairs, above the budget of 14"),
+    "dks2msfbc symbols": (reductions, "MAX_REDUCTION_SYMBOLS", 48,
+                          lambda: reductions.reduce_dks_to_msfbc(random_graph(6, 7, seed=0), 3),
+                          "the reduction needs V*(E+1) = 48 symbols, above the budget of 47"),
+    "gap sweep": (experiments, "MAX_GAP_M", 50, lambda: experiments.inequality_checks(20, 50),
+                  "the gap sweep needs 50 values of m, above the budget of 49"),
 }
 
 

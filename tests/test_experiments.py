@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_solvers as ref
-from strsel import BINARY, Alphabet, StringSet, Word, hamming
+from strsel import BINARY, Alphabet, StringSet, Word, experiments, hamming
 from strsel.exact import BudgetExceededError, solve_max2sat_exact
 from strsel.experiments import (
+    TrialOutcome,
     all_fixing_words,
     conditional_distance_distribution,
     conditional_half_bound,
@@ -25,6 +26,7 @@ from strsel.experiments import (
 )
 from strsel.gen import random_max2sat
 from strsel.reductions import fixing_strings
+from strsel.rng import derive_seed
 
 
 def slow_noncanonical(n):
@@ -181,6 +183,61 @@ class TestFixingTrials:
     def test_m_budget(self):
         with pytest.raises(BudgetExceededError):
             lemma_fixing_trial(9, 9, 20, seed=0)
+
+
+def report_fields(report) -> dict:
+    return {name: getattr(report, name) for name in ("failures", "worst_witnesses", "bound", "slack", "within_bound")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 3), st.integers(0, 60), st.integers(0, 2**64 - 1))
+def test_campaign_equals_the_per_trial_reference(n, c, extra, trials, seed):
+    # small c and m close to n: failures, and so witnesses, are common
+    m = n + extra
+    assert report_fields(lemma_fixing_campaign(n, m, c, trials, seed)) == ref.lemma_fixing_campaign(n, m, c, trials, seed)
+
+
+@pytest.mark.parametrize("elements", [1, 16, 100, 500])
+@pytest.mark.parametrize("n, m, c, trials, seed", [(3, 3, 3, 25, 1), (2, 4, 1, 60, 7), (4, 5, 2, 13, 2**64 - 1)])
+def test_campaign_blocks_and_chunks_equal_the_reference(monkeypatch, elements, n, m, c, trials, seed):
+    draws = []
+
+    def recording(states, lo, hi, n):
+        draws.append((len(states), hi - lo))
+        return fixing_indices(states, lo, hi, n)
+
+    fixing_indices = experiments._fixing_indices
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", elements)
+    monkeypatch.setattr(experiments, "_fixing_indices", recording)
+    report = lemma_fixing_campaign(n, m, c, trials, seed)
+    assert report_fields(report) == ref.lemma_fixing_campaign(n, m, c, trials, seed)
+    assert report.failures > 0
+    # every string of every trial is drawn once, in several trial blocks
+    assert sum(rows * strings for rows, strings in draws) == trials * c * m
+    assert max(rows for rows, _ in draws) < trials
+    if elements < c * m * n:
+        # one trial's strings span several draws
+        assert max(strings for _, strings in draws) < c * m
+
+
+# n = m = 2, c = 5: trial 0 holds for seed 1 and fails for seed 0, with witness 0110
+ALTERED_TRIAL_0 = {
+    "a pass as a failure": (1, lambda o: TrialOutcome(False, Word.from_text("0110"), 0)),
+    "a failure as a pass": (0, lambda o: TrialOutcome(True)),
+    "another witness": (0, lambda o: TrialOutcome(False, Word.from_text("0010"), o.far_count)),
+    "another far count": (0, lambda o: TrialOutcome(False, o.witness, o.far_count + 1)),
+}
+
+
+@pytest.mark.parametrize("change", list(ALTERED_TRIAL_0))
+def test_campaign_raises_when_trial_0_rescores_differently(monkeypatch, change):
+    seed, alter = ALTERED_TRIAL_0[change]
+    trial = experiments.lemma_fixing_trial
+    assert trial(2, 2, 5, derive_seed(seed, 0)).holds == (seed == 1)
+    lemma_fixing_campaign(2, 2, 5, 10, seed)
+    monkeypatch.setattr(experiments, "lemma_fixing_trial", lambda *args: alter(trial(*args)))
+    with pytest.raises(AssertionError, match="trial 0"):
+        lemma_fixing_campaign(2, 2, 5, 10, seed)
 
 
 class TestInequalities:
