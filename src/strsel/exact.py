@@ -14,12 +14,18 @@ center. ``--recheck``, :func:`words.hamming`, :func:`words.coverage` and
 :func:`words.anticoverage` stay per-word Python, so they re-score that
 winner on an independent path. numpy stays out of :mod:`words`, so that
 ``import strsel`` does not load it.
+
+MSFBC has two solvers: :func:`solve_msfbc_subsets` fills one numpy table over
+all subsets, and :func:`solve_msfbc_columns` groups words by Python int keys,
+sharing no code with it, as its independent check. :func:`solve_dks_exact`
+and :func:`solve_max2sat_exact` score blocks of k-subsets and of assignment
+indices in numpy, in the order ``itertools`` would yield them.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -236,52 +242,102 @@ def solve_msfbc_columns(inst: MsfbcInstance) -> SubsetResult:
     A subset has at most k bad columns iff all its words agree outside some
     column set J with |J| = min(k, l) (bad-column sets only grow when J
     shrinks, so size exactly min(k, l) suffices). For each J, group words by
-    their restriction to the other columns and take the largest group.
+    their restriction to the other columns and take the largest group. Each
+    word is one Python int, a byte per symbol, and its restriction is that int
+    with the bytes of J masked to zero. Pure Python: no numpy, nothing shared
+    with the subset table.
     """
-    ell = inst.set.length
+    ell, n = inst.set.length, inst.set.size
     j_size = min(inst.k, ell)
     check_budget("column enumeration", f"C({ell},{j_size}) column sets", ("C", ell, j_size), DEFAULT_SUBSET_BUDGET)
-    words = inst.set.words
-    symbols = [w.symbols for w in words]
-    best = (0, ())
-    # each J as the columns outside it; the best group does not depend on the order
-    for keep in itertools.combinations(range(ell), ell - j_size):
-        # with no column kept (k >= l) every word falls into one group
-        key = operator.itemgetter(*keep) if keep else lambda s: None
-        groups: dict = {}
-        for i, s in enumerate(symbols):
-            groups.setdefault(key(s), []).append(i)
+    rows = inst.set.rows
+    ints = [int.from_bytes(rows[i : i + ell], "big") for i in range(0, n * ell, ell)]
+    full = (1 << 8 * ell) - 1
+    column_bytes = [0xFF << 8 * (ell - 1 - j) for j in range(ell)]
+    best_size, best = 0, ()
+    for j_set in itertools.combinations(column_bytes, j_size):
+        mask = full - sum(j_set)
+        keys = list(map(mask.__and__, ints))
+        # with g distinct keys, no group holds more than n - g + 1 words
+        if n - len(set(keys)) + 1 < best_size:
+            continue
+        counts = Counter(keys)
+        size = max(counts.values())
+        if size < best_size:
+            continue
         # groups are disjoint and keyed in order of their first index, so the
         # first largest group is the first index list of its size
-        group = max(groups.values(), key=len)
-        best = min(best, (-len(group), tuple(group)))
-    indices = best[1]
-    bad = bad_columns([words[i] for i in indices])
-    return SubsetResult(indices=indices, bad_column_count=len(bad))
+        key = next(key for key, count in counts.items() if count == size)
+        group = tuple(i for i, x in enumerate(keys) if x == key)
+        if size > best_size or group < best:
+            best_size, best = size, group
+    words = inst.set.words
+    bad = bad_columns([words[i] for i in best])
+    return SubsetResult(indices=best, bad_column_count=len(bad))
 
 
 def solve_max2sat_exact(phi):
     """Enumerate all assignments; ties go to the lexicographically smallest
-    assignment (false < true, variable order). Returns (assignment, count)."""
+    assignment (false < true, variable order). Returns (assignment, count).
+
+    Assignment index a sets variable v to bit n - v of a, True as 1, which is
+    ``itertools.product((False, True), repeat=n)`` order. A clause is false
+    exactly when a, masked to the bits of its variables, equals the bits that
+    make both its literals false. Blocks of indices are scored at once by
+    their false clauses; the first minimum wins within a block, a strictly
+    smaller count across blocks.
+    """
     n = phi.variable_count
     check_budget("assignment enumeration", f"2^{n} assignments", ("^", 2, n), 2**DEFAULT_ASSIGNMENT_VARS)
-    best = None
-    best_count = -1
-    for assignment in itertools.product((False, True), repeat=n):
-        count = phi.satisfied_count(assignment)
-        if count > best_count:
-            best, best_count = assignment, count
-    return best, best_count
+    m = phi.clause_count
+    dtype = _bits_dtype(n)
+    mask, false = [], []
+    for a, b in phi.clauses:
+        x, y = 1 << n - a.variable, 1 << n - b.variable
+        mask.append(x | y)
+        false.append((not a.positive) * x | (not b.positive) * y)
+    mask, false = np.array(mask, dtype=dtype), np.array(false, dtype=dtype)
+    total = 1 << n
+    step = max(1, _BLOCK_ELEMENTS // m)
+    best_index, best_false = 0, m + 1
+    for lo in range(0, total, step):
+        index = np.arange(lo, min(lo + step, total), dtype=dtype)
+        false_counts = (index[:, None] & mask == false).sum(axis=1)
+        i = int(false_counts.argmin())
+        if false_counts[i] < best_false:
+            best_index, best_false = lo + i, int(false_counts[i])
+    return tuple(bool(best_index >> n - v & 1) for v in range(1, n + 1)), m - best_false
 
 
 def solve_dks_exact(graph, k: int):
     """Densest-k-Subgraph by exhaustive k-subset enumeration.
 
     Returns (vertex tuple, induced edge count); vertices are 1-based.
+
+    k-subsets come in ``itertools.combinations`` order, a block at a time.
+    Each block is scored at once through a membership matrix with one column
+    per vertex that touches an edge and one spare column for all the others.
+    The first maximum wins within a block, a strictly larger count across
+    blocks, so the lexicographically smallest densest subset wins.
     """
     graph.check_k(k)
     v = graph.vertex_count
     check_budget("subset enumeration", f"C({v},{k}) subsets", ("C", v, k), DEFAULT_SUBSET_BUDGET)
-    # max keeps the first maximum, the lexicographically smallest subset
-    best = max(itertools.combinations(range(1, v + 1), k), key=graph.induced_edge_count)
-    return best, graph.induced_edge_count(best)
+    touched = sorted({x for edge in graph.edges for x in edge})
+    column = np.full(v + 1, len(touched), dtype=np.intp)
+    column[touched] = np.arange(len(touched))
+    ends = column[np.array(graph.edges, dtype=np.intp).reshape(-1, 2)]
+    step = max(1, _BLOCK_ELEMENTS // max(k, len(touched) + 1, len(ends)))
+    combos = itertools.combinations(range(1, v + 1), k)
+    best, best_count = None, -1
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, step)), dtype=np.intp)
+        if not flat.size:
+            return best, best_count
+        block = flat.reshape(-1, k)
+        member = np.zeros((len(block), len(touched) + 1), dtype=bool)
+        member[np.arange(len(block))[:, None], column[block]] = True
+        counts = (member[:, ends[:, 0]] & member[:, ends[:, 1]]).sum(axis=1)
+        i = int(np.argmax(counts))
+        if counts[i] > best_count:
+            best, best_count = tuple(block[i].tolist()), int(counts[i])

@@ -4,11 +4,15 @@ These are the per-center, per-word loops that ``strsel.exact`` and
 ``strsel.fpt`` replaced with the packed numpy distance kernel, the
 per-neighbour hill climbing that ``strsel.heuristics`` replaced with an
 incremental distance vector, the MSFBC combination loop that
-``strsel.exact`` replaced with a table over all subsets, and the MSFBC
-column-set loop with generator-built group keys. They are kept here,
-built only on ``Word``, ``hamming`` and ``bad_columns``, as the differential
-oracle for the fast paths: those must return equal ``CenterResult`` and
-``SubsetResult`` values, including the lexicographic tie-breaks.
+``strsel.exact`` replaced with a table over all subsets, the MSFBC
+column-set loop with generator-built group keys, and the DkS and Max-2-SAT
+loops over ``itertools`` that ``strsel.exact`` replaced with numpy blocks,
+scored one subset or assignment at a time by ``Graph.induced_edge_count`` and
+``Max2SatInstance.satisfied_count``. They are kept here, built only on
+``Word``, ``hamming``, ``bad_columns`` and those two methods, as the
+differential oracle for the fast paths: those must return equal results,
+``CenterResult`` and ``SubsetResult`` values and (answer, count) pairs,
+including the lexicographic tie-breaks.
 
 The fixing-string references draw one ``next_bit()`` per block and score
 each trial of a campaign, and each (word, block) pair of the half bound, on
@@ -232,6 +236,25 @@ def solve_msfbc_columns(inst: MsfbcInstance, column_budget: int = DEFAULT_SUBSET
     indices = best[1]
     bad = bad_columns([words[i] for i in indices])
     return SubsetResult(indices=indices, bad_column_count=len(bad))
+
+
+def solve_max2sat_exact(phi: Max2SatInstance):
+    """Every assignment in ``itertools.product`` order, scored one at a time
+    by ``satisfied_count``; the first maximum wins."""
+    best = None
+    best_count = -1
+    for assignment in itertools.product((False, True), repeat=phi.variable_count):
+        count = phi.satisfied_count(assignment)
+        if count > best_count:
+            best, best_count = assignment, count
+    return best, best_count
+
+
+def solve_dks_exact(graph: Graph, k: int):
+    """Every k-subset in ``itertools.combinations`` order, scored one at a time
+    by ``induced_edge_count``; the first maximum wins."""
+    best = max(itertools.combinations(range(1, graph.vertex_count + 1), k), key=graph.induced_edge_count)
+    return best, graph.induced_edge_count(best)
 
 
 _BLOCKS = ((0, 1), (1, 0))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from strsel import cli
+from strsel import cli, exact
 from strsel.cli import build_parser, main
 
 K3 = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -240,12 +240,26 @@ def test_timing_appends_one_wall_time_line(capsys, cms_file, monkeypatch, rechec
     assert re.fullmatch(r"wall_time_s=\d+\.\d{3}\n", timed_out[len(out) :])
 
 
+def _one_too_many(solve):
+    """``solve`` with the count it reports raised by one."""
+
+    def wrong(*args):
+        answer, count = solve(*args)
+        return answer, count + 1
+
+    return wrong
+
+
 def test_solve_dks_recheck_status(capsys, graph_file, monkeypatch):
     from strsel.reductions import Graph
 
     status, out = run(capsys, "solve", "dks", "-f", graph_file, "--k", "2", "--recheck")
     assert status == 0 and as_dict(out)["recheck"] == "ok"
-    monkeypatch.setattr(Graph, "induced_edge_count", lambda self, vertices: -1)
+    # the solver reports one edge too many; a recheck through
+    # Graph.induced_edge_count would agree with it
+    monkeypatch.setattr(exact, "solve_dks_exact", _one_too_many(exact.solve_dks_exact))
+    induced_edge_count = Graph.induced_edge_count
+    monkeypatch.setattr(Graph, "induced_edge_count", lambda self, vertices: induced_edge_count(self, vertices) + 1)
     status, out = run(capsys, "solve", "dks", "-f", graph_file, "--k", "2", "--recheck")
     assert status == 1 and as_dict(out)["recheck"] == "fail"
 
@@ -416,6 +430,9 @@ def test_solve_max2sat_recheck_is_independent_of_the_solver(capsys, tmp_path, mo
     p.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
     status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
     assert status == 0 and as_dict(out)["recheck"] == "ok"
+    # the solver reports one clause too many; a recheck through
+    # Max2SatInstance.satisfied_count would agree with it
+    monkeypatch.setattr(exact, "solve_max2sat_exact", _one_too_many(exact.solve_max2sat_exact))
     satisfied_count = Max2SatInstance.satisfied_count
     monkeypatch.setattr(Max2SatInstance, "satisfied_count", lambda self, a: satisfied_count(self, a) + 1)
     status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")

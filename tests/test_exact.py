@@ -190,9 +190,8 @@ class TestMsfbc:
             s = random_string_set(2, ell, n, seed=seed)
             for k in range(ell + 1):
                 inst = MsfbcInstance(s, k)
-                a = solve_msfbc_subsets(inst)
-                b = solve_msfbc_columns(inst)
-                assert len(a.indices) == len(b.indices), (seed, k)
+                # both promise the first optimal index list, not only its size
+                assert solve_msfbc_subsets(inst) == solve_msfbc_columns(inst), (seed, k)
 
     def test_monotone_in_k(self):
         s = random_string_set(2, 5, 6, seed=4)

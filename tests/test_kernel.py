@@ -1,7 +1,8 @@
 """The packed distance kernel, the center solvers and the hill climbing built
-on it, and the two MSFBC solvers, checked against the pure-Python reference
-solvers in ``reference_solvers``."""
+on it, the two MSFBC solvers, and the block-scored DkS and Max-2-SAT solvers,
+checked against the pure-Python reference solvers in ``reference_solvers``."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,9 @@ from strsel.exact import (
     packed,
     solve_cks_exact,
     solve_cms_exact,
+    solve_dks_exact,
     solve_ffms_exact,
+    solve_max2sat_exact,
     solve_msfbc_columns,
     solve_msfbc_subsets,
     symbol_matrix,
@@ -28,7 +31,7 @@ from strsel.fpt import epsilon_for, synthetic_inflating_oracle
 from strsel.formats import serialize_strings_instance
 from strsel.gen import random_graph, random_max2sat, random_string_set
 from strsel.heuristics import SearchConfig, local_search_cms, local_search_ffms
-from strsel.reductions import reduce_dks_to_msfbc, reduce_max2sat_to_cms
+from strsel.reductions import Graph, Literal, Max2SatInstance, reduce_dks_to_msfbc, reduce_max2sat_to_cms
 from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet, Word, hamming
 
 # longest words per alphabet that keep the reference solvers fast
@@ -176,12 +179,12 @@ def test_cli_local_search_output_matches_reference(capsys, tmp_path):
 
 
 @st.composite
-def msfbc_sets(draw, cells=80):
+def msfbc_sets(draw, cells=80, sigmas=(2, 3, 4)):
     """Up to 10 words, some of them repeated, that differ from one base word
     in a few columns; sigma * l reaches up to ``cells``, by default past one
-    64-bit limb."""
-    sigma = draw(st.sampled_from([2, 3, 4]))
-    length = draw(st.integers(1, cells // sigma))
+    64-bit limb, and l reaches at least 3."""
+    sigma = draw(st.sampled_from(sigmas))
+    length = draw(st.integers(1, max(cells // sigma, 3)))
     base = draw(st.lists(st.integers(0, sigma - 1), min_size=length, max_size=length))
     edits = st.dictionaries(st.integers(0, length - 1), st.integers(0, sigma - 1), max_size=length)
     variants = draw(st.lists(edits, min_size=1, max_size=10))
@@ -210,9 +213,9 @@ def test_msfbc_subset_table_matches_reference(sset):
 
 
 @settings(max_examples=150, deadline=None)
-@given(msfbc_sets(cells=24))
+@given(msfbc_sets(cells=24, sigmas=(2, 3, 4, 36)))
 def test_msfbc_columns_solver_matches_reference(sset):
-    # k = l keeps no column, so every word falls into one group
+    # k = 0 keeps every column; k = l keeps none, so every word falls into one group
     for k in range(sset.length + 1):
         inst = MsfbcInstance(sset, k)
         res = solve_msfbc_columns(inst)
@@ -243,3 +246,63 @@ def test_cli_msfbc_output_matches_reference(capsys, tmp_path):
                     "indices=" + " ".join(str(j + 1) for j in res.indices), f"bad_columns={res.bad_column_count}",
                     "recheck=ok"]
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+@st.composite
+def graphs(draw, max_vertices=9):
+    """Any simple graph on 1 to ``max_vertices`` vertices, edgeless and
+    complete ones included."""
+    v = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(1, v + 1), 2))
+    chosen = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return Graph(v, tuple(p for i, p in enumerate(pairs) if chosen >> i & 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.sampled_from(BLOCK_ELEMENTS))
+def test_dks_solver_matches_reference(graph, block):
+    with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
+        for k in range(1, graph.vertex_count + 1):
+            assert solve_dks_exact(graph, k) == ref.solve_dks_exact(graph, k)
+
+
+@pytest.mark.parametrize("v", range(1, 10))
+def test_dks_on_an_edgeless_graph_takes_the_first_vertices(v):
+    for k in range(1, v + 1):
+        vertices, count = solve_dks_exact(Graph(v, ()), k)
+        assert (vertices, count) == (tuple(range(1, k + 1)), 0)
+        assert all(type(x) is int for x in vertices) and type(count) is int
+
+
+@st.composite
+def formulas(draw, max_variables=12):
+    """2-CNF formulas on up to ``max_variables`` variables; clauses repeat,
+    and a clause may name one literal twice."""
+    n = draw(st.integers(1, max_variables))
+    literal = st.builds(Literal, st.integers(1, n), st.booleans())
+    clause = st.tuples(literal, literal).filter(lambda c: c[0].variable != c[1].variable or c[0] == c[1])
+    distinct = draw(st.lists(clause, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=24))
+    return Max2SatInstance(n, tuple(distinct[p] for p in picks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(), st.sampled_from(BLOCK_ELEMENTS))
+def test_max2sat_solver_matches_reference(phi, block):
+    with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
+        assignment, count = solve_max2sat_exact(phi)
+    assert (assignment, count) == ref.solve_max2sat_exact(phi)
+    assert all(type(x) is bool for x in assignment) and type(count) is int
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_max2sat_tie_over_every_assignment_is_all_false(n):
+    # x or x with ~x or ~x satisfies one of the two, and the four sign
+    # patterns on one pair of variables satisfy three of the four, whatever
+    # the assignment
+    units = [(Literal(v, p), Literal(v, p)) for v in range(1, n + 1) for p in (True, False)]
+    pairs = [(Literal(v, p), Literal(v + 1, q)) for v in range(1, n) for p in (True, False) for q in (True, False)]
+    phi = Max2SatInstance(n, tuple(units + pairs))
+    for block in BLOCK_ELEMENTS:
+        with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
+            assert solve_max2sat_exact(phi) == ((False,) * n, n + 3 * (n - 1))
