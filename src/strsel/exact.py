@@ -153,15 +153,15 @@ def _best_center(sset: StringSet, score) -> tuple:
 
 
 def coverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
-    """The CMS objective of each row of a (centers, words) distance array:
+    """The CMS objective of each center of a (..., words) distance array:
     how many words lie within distance ``d``."""
-    return (dist <= d).sum(axis=1)
+    return (dist <= d).sum(axis=-1, dtype=np.min_scalar_type(dist.shape[-1]))
 
 
 def anticoverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
-    """The FFMS objective of each row of a (centers, words) distance array:
+    """The FFMS objective of each center of a (..., words) distance array:
     how many words lie at distance ``d`` or more."""
-    return (dist >= d).sum(axis=1)
+    return (dist >= d).sum(axis=-1, dtype=np.min_scalar_type(dist.shape[-1]))
 
 
 def solve_cms_exact(inst: CmsInstance) -> CenterResult:
@@ -323,6 +323,8 @@ def solve_dks_exact(graph, k: int):
     graph.check_k(k)
     v = graph.vertex_count
     check_budget("subset enumeration", f"C({v},{k}) subsets", ("C", v, k), DEFAULT_SUBSET_BUDGET)
+    # each subset is built as k vertex entries
+    check_budget("subset enumeration", f"C({v},{k})*{k} vertex entries", comb(v, k) * k, DEFAULT_ENUM_BUDGET)
     touched = sorted({x for edge in graph.edges for x in edge})
     column = np.full(v + 1, len(touched), dtype=np.intp)
     column[touched] = np.arange(len(touched))

@@ -3,27 +3,31 @@ Strings. Deterministic: best-improvement moves with a fixed (position,
 symbol) scan order, strict improvement only, seeded restarts.
 
 The climb holds the input words once, as a transposed ``uint8`` symbol
-matrix, and the current center's distance to every word as one vector.
-Moving position p from symbol a to b changes word i's distance by
-``[w_i[p] != b] - [w_i[p] != a]``, so one iteration scores every
-(position, symbol) neighbour at once, as an (l, sigma) value array filled
-one symbol at a time by the objective that the exact solvers use
-(:func:`exact.coverage_counts` or :func:`exact.anticoverage_counts`). The
-move taken is the first maximum of that array in row-major order, which is
-the (position, symbol) scan order, and only if it beats the current value.
-A ``Word`` is built only for each restart's final center, and the winner is
-re-scored on the independent per-word path (:func:`words.coverage` or
-:func:`words.anticoverage`).
+matrix, and moves a block of restarts in lockstep: a boolean (r, l, n) array
+of the words each center's positions mismatch, and an (r, n) array of its
+distances in the narrowest unsigned dtype that holds l + 1. Moving position
+p from symbol a to b changes word i's distance by
+``[w_i[p] != b] - [w_i[p] != a]``, so one iteration scores the sigma - 1 real
+neighbours of every position of every restart (one when binary) with the
+objective that the exact solvers use (:func:`exact.coverage_counts` or
+:func:`exact.anticoverage_counts`). In each restart's (l, sigma) value
+array the current symbol stays -1; the move taken is the first maximum in
+row-major order, the (position, symbol) scan order, and only if it beats
+the current value, else the restart drops out. A block holds as many
+restarts as keep the mismatch array within ``exact._BLOCK_ELEMENTS``
+elements, and at least one. Ties between restarts go to the smaller center;
+only the winner becomes a ``Word``, re-scored on the independent per-word
+path (:func:`words.coverage` or :func:`words.anticoverage`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exact import CenterResult, anticoverage_counts, coverage_counts, symbol_matrix
+from .exact import CenterResult, anticoverage_counts, block_rows, coverage_counts, symbol_matrix
 from .rng import SplitMix64, derive_seed
 from .words import CmsInstance, FfmsInstance, StringSet, Word, anticoverage, coverage
 
@@ -55,50 +59,58 @@ def _start_symbols(sset: StringSet, cfg: SearchConfig, restart: int) -> Sequence
     return np.repeat(rng.bits(sset.length // 2), 2)
 
 
-def _climb(words_t: np.ndarray, sigma: int, score, start: Sequence[int], max_iterations: int):
-    """Climb from ``start`` over the (l, n) symbol matrix ``words_t``, where
-    ``score`` maps a (centers, words) distance array to one value per center.
-    Returns the final center's symbols and its value."""
-    center = np.array(start, dtype=np.uint8)
-    positions = np.arange(len(center))
-    mismatch = words_t != center[:, None]
-    dist = mismatch.sum(axis=0)
-    value = int(score(dist[None, :])[0])
-    values = np.empty((len(center), sigma), dtype=np.int64)
+def _climb(words_t: np.ndarray, sigma: int, score, centers: np.ndarray, max_iterations: int):
+    """Climb from every row of the (r, l) ``centers`` at once over the (l, n)
+    symbol matrix ``words_t``, where ``score`` maps a (..., n) distance array
+    to one value per center; ``centers`` is updated in place. Returns the
+    final values."""
+    mismatch = words_t != centers[:, :, None]
+    dist = mismatch.sum(axis=1, dtype=np.min_scalar_type(len(words_t) + 1))
+    values = score(dist).astype(np.int64)
+    live = np.arange(len(centers))
+    positions = np.arange(len(words_t))
     for _ in range(max_iterations):
-        # row p: every word's distance to the center with position p left
-        # out; adding [w[p] != b] gives its distance to the neighbour that
-        # writes b at p
-        base = dist - mismatch
-        for b in range(sigma):
-            values[:, b] = score(base + (words_t != b))
-        values[positions, center] = -1
-        p, b = divmod(int(np.argmax(values)), sigma)
-        if values[p, b] <= value:
+        # base[k, p]: restart k's distances with position p left out; adding
+        # [w[p] != b] gives the distances of the neighbour that writes b at p
+        base = dist[:, None, :] - mismatch
+        neighbours = np.full((len(live), len(words_t), sigma), -1, dtype=np.int64)
+        for shift in range(1, sigma):
+            b = (centers[live] + shift) % sigma
+            neighbours[np.arange(len(live))[:, None], positions, b] = score(base + (words_t != b[:, :, None]))
+        neighbours = neighbours.reshape(len(live), -1)
+        top = neighbours.max(axis=1)
+        moved = np.flatnonzero(top > values[live])
+        if not moved.size:
             break
-        mismatch[p] = words_t[p] != b
-        dist = base[p] + mismatch[p]
-        center[p] = b
-        value = int(values[p, b])
-    return center.tolist(), value
+        if len(moved) < len(live):
+            live, mismatch, base = live[moved], mismatch[moved], base[moved]
+        p, b = np.divmod(neighbours[moved].argmax(axis=1), sigma)
+        rows = np.arange(len(live))
+        mismatch[rows, p] = words_t[p] != b[:, None]
+        dist = base[rows, p] + mismatch[rows, p]
+        centers[live, p] = b
+        values[live] = top[moved]
+    return values
 
 
 def _local_search(sset: StringSet, score, rescore, cfg: SearchConfig) -> CenterResult:
     words_t = np.ascontiguousarray(symbol_matrix(sset).T)
-    best: Optional[CenterResult] = None
-    for restart in range(cfg.restarts):
-        symbols, value = _climb(
-            words_t, sset.alphabet.size, score, _start_symbols(sset, cfg, restart), cfg.max_iterations
-        )
-        center = Word(symbols, sset.alphabet)
-        if best is None or value > best.value or (value == best.value and center < best.center):
-            best = CenterResult(center=center, value=value)
-    checked = rescore(best.center)
-    if checked != best.value:
+    step = block_rows(words_t)
+    best = None
+    for lo in range(0, cfg.restarts, step):
+        restarts = range(lo, min(lo + step, cfg.restarts))
+        centers = np.array([_start_symbols(sset, cfg, r) for r in restarts], dtype=np.uint8)
+        values = _climb(words_t, sset.alphabet.size, score, centers, cfg.max_iterations)
+        # the highest value, ties to the smallest center
+        block_best = min(zip((-values).tolist(), centers.tolist()))
+        best = min(best, block_best) if best else block_best
+    result = CenterResult(center=Word(best[1], sset.alphabet), value=-best[0])
+    checked = rescore(result.center)
+    if checked != result.value:
         raise AssertionError(
-            f"hill climbing scored {best.center} as {best.value}, the per-word rescore as {checked}"
+            f"hill climbing scored {result.center} as {result.value}, the per-word rescore as {checked}"
         )
-    return best
+    return result
 
 
 def local_search_cms(inst: CmsInstance, cfg: SearchConfig) -> CenterResult:

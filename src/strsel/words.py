@@ -143,7 +143,8 @@ def _outside_alphabet(symbols: Sequence[int], alphabet: Alphabet, length: int) -
 
 
 def _check_compatible(a: Word, b: Word):
-    if a.alphabet != b.alphabet:
+    # words of one StringSet share its Alphabet object
+    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
         raise ValueError("words are over different alphabets")
     if len(a._symbols) != len(b._symbols):
         raise ValueError(f"word lengths differ: {a.length} vs {b.length}")
@@ -229,9 +230,14 @@ class StringSet:
 
     @cached_property
     def words(self) -> tuple:
-        """The words as :class:`Word` objects, built on first use."""
-        step = self.length
-        return tuple(Word._of(tuple(self.rows[i : i + step]), self.alphabet) for i in range(0, len(self.rows), step))
+        """The words as :class:`Word` objects, built on first use in one pass
+        that cuts the row buffer into symbol tuples."""
+        new, alphabet, words = Word.__new__, self.alphabet, []
+        for symbols in zip(*[iter(self.rows)] * self.length):
+            w = new(Word)
+            w.alphabet, w._symbols = alphabet, symbols
+            words.append(w)
+        return tuple(words)
 
     @property
     def size(self) -> int:

@@ -1,9 +1,10 @@
 """Pure-Python reference solvers.
 
 These are the per-center, per-word loops that ``strsel.exact`` and
-``strsel.fpt`` replaced with the packed numpy distance kernel, the
-per-neighbour hill climbing that ``strsel.heuristics`` replaced with an
-incremental distance vector, the MSFBC combination loop that
+``strsel.fpt`` replaced with the packed numpy distance kernel, the hill
+climbing that re-scores each neighbour ``Word`` of one restart at a time,
+where ``strsel.heuristics`` climbs blocks of restarts in lockstep on
+incremental distance arrays, the MSFBC combination loop that
 ``strsel.exact`` replaced with a table over all subsets, the MSFBC
 column-set loop with generator-built group keys, and the DkS and Max-2-SAT
 loops over ``itertools`` that ``strsel.exact`` replaced with numpy blocks,

@@ -331,6 +331,10 @@ def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work)
     [
         pytest.param(["reduce", "dks2msfbc", "--k", "1", "-o", "out"], "p edge 1000000000 1\ne 1 2\n",
                      "the reduction needs V*(E+1) = 2000000000 symbols, above the budget of 16777216", id="dks2msfbc"),
+        # C(10^6, 999999) = 10^6 subsets pass the subset budget; their 10^12 vertex entries do not
+        pytest.param(["solve", "dks", "--k", "999999"], "p edge 1000000 1\ne 1 2\n",
+                     "subset enumeration needs C(1000000,999999)*999999 vertex entries, above the budget of 16777216",
+                     id="dks entries"),
         pytest.param(["experiment", "inequalities", "--m", "1000000000"], None,
                      "the gap sweep needs 1000000000 values of m, above the budget of 16777216", id="inequalities"),
     ],

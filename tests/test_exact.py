@@ -295,6 +295,8 @@ BUDGET_SITES = {
                 "assignment enumeration needs 2^3 assignments, above the budget of 4"),
     "dks": (exact, "DEFAULT_SUBSET_BUDGET", 20, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),
             "subset enumeration needs C(6,3) subsets, above the budget of 19"),
+    "dks entries": (exact, "DEFAULT_ENUM_BUDGET", 60, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),
+                    "subset enumeration needs C(6,3)*3 vertex entries, above the budget of 59"),
     "sat2cms rows": (reductions, "MAX_REDUCTION_ROWS", 84,
                      lambda: reductions.reduce_max2sat_to_cms(random_max2sat(3, 4, seed=0), c=20, seed=1),
                      "the reduction needs (c+1)*m = 84 strings, above the budget of 83"),

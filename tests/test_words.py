@@ -17,6 +17,7 @@ from strsel import (
     coverage,
     hamming,
 )
+from strsel.gen import random_string_set
 
 
 def w(text, sigma=2):
@@ -53,6 +54,18 @@ class TestHamming:
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hamming(w("00"), w("00", sigma=3))
+
+    def test_equal_alphabets_built_apart_are_compatible(self):
+        a, b = Word([0, 1, 2], Alphabet(3)), Word([2, 1, 0], Alphabet(3))
+        assert a.alphabet is not b.alphabet
+        assert hamming(a, b) == hamming(b, a) == 2
+
+    def test_different_alphabet_or_length_raises(self):
+        sigma3 = Alphabet(3)
+        with pytest.raises(ValueError, match="different alphabets"):
+            hamming(Word([0, 1], sigma3), Word([0, 1], Alphabet(4)))
+        with pytest.raises(ValueError, match="word lengths differ: 2 vs 3"):
+            hamming(Word([0, 1], sigma3), Word([0, 1, 2], sigma3))
 
     def test_matches_naive_count_nonbinary(self):
         a = w("0120", sigma=3)
@@ -180,6 +193,16 @@ class TestStringSet:
         a, b = StringSet.from_texts(["01", "10"]), StringSet.from_words([w("01"), w("10")])
         assert a.words == (w("01"), w("10"))
         assert a == b and hash(a) == hash(b) and b.rows == bytes([0, 1, 1, 0])
+
+
+    @pytest.mark.parametrize("sigma, length", [(2, 1), (2, 20), (4, 5), (36, 3)])
+    def test_words_are_the_words_of_each_row(self, sigma, length):
+        sset = random_string_set(sigma, length, 9, seed=sigma)
+        rows = [sset.rows[i : i + length] for i in range(0, len(sset.rows), length)]
+        assert len(sset.words) == len(rows) == 9
+        for row, word in zip(rows, sset.words):
+            assert word == Word(row, sset.alphabet) and type(word.symbols) is tuple
+            assert word.alphabet is sset.alphabet
 
 
 class TestValidation:
