@@ -137,7 +137,8 @@ PROBLEMS = {
     "cks": (
         lambda text: parse_strings_instance(text, CksInstance),
         {"exact": lambda inst, args: exact.solve_cks_exact(inst)},
-        lambda inst, res: max(hamming(res.center, inst.set.words[i]) for i in res.chosen_subset) == res.value,
+        lambda inst, res: inst.is_subset(res.chosen_subset)
+        and max(hamming(res.center, inst.set.words[i]) for i in res.chosen_subset) == res.value,
         _center_fields,
     ),
     "msfbc": (

@@ -7,13 +7,16 @@ index list), which makes every solver deterministic.
 
 Every solver reads a string set through :func:`symbol_matrix`, an (n, l)
 ``uint8`` view of its row buffer, or :func:`packed`, one unsigned integer
-per word when binary. The center solvers (CMS, FFMS, CkS) share one skeleton
-and one numpy distance kernel, :func:`distances`, over blocks of consecutive
-lexicographic center indices. A :class:`Word` is built only for the winning
-center. ``--recheck``, :func:`words.hamming`, :func:`words.coverage` and
-:func:`words.anticoverage` stay per-word Python, so they re-score that
-winner on an independent path. numpy stays out of :mod:`words`, so that
-``import strsel`` does not load it.
+per word with ceil(log2 sigma) bits per symbol. The center solvers (CMS,
+FFMS, CkS) share one block iterator over consecutive lexicographic center
+indices and one numpy distance kernel, :func:`distances`, the same for every
+alphabet. CMS and FFMS take each block's best count; CkS decides radii by
+coverage counts, since a center's radius is at most r exactly when k words
+lie within r of it, and skips every block that cannot beat its incumbent.
+A :class:`Word` is built only for the winning center. ``--recheck``,
+:func:`words.hamming`, :func:`words.coverage` and :func:`words.anticoverage`
+stay per-word Python, so they re-score that winner on an independent path.
+numpy stays out of :mod:`words`, so that ``import strsel`` does not load it.
 
 MSFBC has two solvers: :func:`solve_msfbc_subsets` fills one numpy table over
 all subsets, and :func:`solve_msfbc_columns` groups words by Python int keys,
@@ -77,75 +80,98 @@ def symbol_matrix(sset: StringSet) -> np.ndarray:
     return np.frombuffer(sset.rows, dtype=np.uint8).reshape(-1, sset.length)
 
 
+def field_bits(alphabet: Alphabet) -> int:
+    """Bits per symbol field of a packed word: b = ceil(log2 sigma)."""
+    return (alphabet.size - 1).bit_length()
+
+
 def packed(sset: StringSet) -> np.ndarray:
-    """The words as a :func:`distances` operand: one unsigned integer per word
-    when binary (length at most 64, column 0 as the most significant bit),
-    else their :func:`symbol_matrix`."""
-    matrix = symbol_matrix(sset)
-    if not sset.alphabet.is_binary:
-        return matrix
-    dtype = _bits_dtype(sset.length)
-    shifts = np.arange(sset.length - 1, -1, -1, dtype=dtype)
-    return np.bitwise_or.reduce(matrix.astype(dtype) << shifts, axis=1)
+    """The words as :func:`distances` operands: one unsigned integer per word
+    of :func:`field_bits` bits per symbol, column 0 in the most significant
+    field. Refuses words of more than 64 bits."""
+    bits = field_bits(sset.alphabet)
+    width = sset.length * bits
+    if width > 64:
+        raise ValueError(f"{sset.length} symbols of {bits} bits need {width} bits, above the 64 of one packed word")
+    dtype = _bits_dtype(width)
+    shifts = np.arange(sset.length - 1, -1, -1, dtype=dtype) * dtype.type(bits)
+    return np.bitwise_or.reduce(symbol_matrix(sset).astype(dtype) << shifts, axis=1)
 
 
-def _bits_dtype(length: int) -> np.dtype:
-    """Narrowest unsigned integer that holds a packed binary word."""
-    return np.min_scalar_type((1 << length) - 1)
+def _bits_dtype(width: int) -> np.dtype:
+    """Narrowest unsigned integer that holds ``width`` bits."""
+    return np.min_scalar_type((1 << width) - 1)
 
 
 _BLOCK_ELEMENTS = 1 << 20
 
 
-def block_rows(words: np.ndarray) -> int:
-    """Centers per :func:`distances` call that keep its intermediates near
-    2^20 elements, whatever the number and length of the words."""
-    return max(1, _BLOCK_ELEMENTS // words.size)
+def block_rows(words: np.ndarray, buffers: int = 1) -> int:
+    """Centers per :func:`distances` call that keep its ``buffers`` widest
+    intermediates, one word-sized element per (word, center) pair each, near
+    2^20 bytes together, whatever the number and width of the words."""
+    return max(1, _BLOCK_ELEMENTS // (buffers * words.nbytes))
 
 
 def center_block(alphabet: Alphabet, length: int, lo: int, hi: int) -> np.ndarray:
-    """The packed words with lexicographic indices ``lo`` .. ``hi - 1``."""
-    if alphabet.is_binary:
-        return np.arange(lo, hi, dtype=_bits_dtype(length))
-    index = np.arange(lo, hi, dtype=np.uint64)
-    powers = np.uint64(alphabet.size) ** np.arange(length - 1, -1, -1, dtype=np.uint64)
-    return (index[:, None] // powers % np.uint64(alphabet.size)).astype(np.uint8)
-
-
-def distances(centers: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Hamming distance from every packed center to every packed word, as a
-    (centers, words) array. 1-D operands are bit-packed binary words, 2-D
-    operands are symbol matrices."""
-    if words.ndim == 1:
-        return np.bitwise_count(centers[:, None] ^ words[None, :])
-    # column by column: no (centers, words, l) intermediate to sum over, which
-    # measured 5-8x slower for sigma in {3, 4}
-    length = words.shape[1]
-    dist = np.zeros((len(centers), len(words)), dtype=np.min_scalar_type(length))
+    """The packed words with lexicographic indices ``lo`` .. ``hi - 1``: the
+    indices themselves when sigma is a power of two, else their base-sigma
+    digits re-packed into fields."""
+    bits = field_bits(alphabet)
+    dtype = _bits_dtype(length * bits)
+    index = np.arange(lo, hi, dtype=dtype)
+    if alphabet.size == 1 << bits:
+        return index
+    words = np.zeros_like(index)
+    sigma = dtype.type(alphabet.size)
     for j in range(length):
-        dist += centers[:, j, None] != words[None, :, j]
-    return dist
+        index, digit = np.divmod(index, sigma)
+        words |= digit << dtype.type(j * bits)
+    return words
 
 
-def _center_scores(sset: StringSet, score):
-    """Yield ``(lo, score(d))`` for consecutive blocks of all centers in
-    lexicographic order, where ``d`` is the block's distance array and ``lo``
-    the index of its first center."""
+def distances(centers: np.ndarray, words: np.ndarray, bits: int) -> np.ndarray:
+    """Hamming distance from every packed center to every packed word of
+    ``bits``-bit symbol fields, as a (centers, words) array: the transposed
+    view of a words-major buffer, so that a sum over words adds whole rows.
+
+    A field differs when its XOR is nonzero. ORing each field's bits onto
+    its lowest bit, in ceil(log2 bits) shifts that at most double the span
+    covered, then masking the lowest bits, leaves one set bit per differing
+    field to count."""
+    diff = words[:, None] ^ centers[None, :]
+    if bits > 1:
+        span = 1
+        while span < bits:
+            step = min(span, bits - span)
+            diff |= diff >> diff.dtype.type(step)
+            span += step
+        diff &= diff.dtype.type(sum(1 << j for j in range(0, 8 * diff.itemsize, bits)))
+    return np.bitwise_count(diff).T
+
+
+def _center_blocks(sset: StringSet):
+    """Yield ``(lo, dist)`` for consecutive blocks of all centers in
+    lexicographic order, where ``dist`` is the block's :func:`distances`
+    array and ``lo`` the index of its first center."""
     sigma, length = sset.alphabet.size, sset.length
     check_budget("center enumeration", f"{sigma}^{length} words", ("^", sigma, length), DEFAULT_ENUM_BUDGET)
     words = packed(sset)
+    bits = field_bits(sset.alphabet)
     total = sigma**length
-    step = block_rows(words)
+    # folding fields of more than one bit takes a second word-sized buffer
+    step = block_rows(words, 1 + (bits > 1))
     for lo in range(0, total, step):
-        centers = center_block(sset.alphabet, sset.length, lo, min(lo + step, total))
-        yield lo, score(distances(centers, words))
+        yield lo, distances(center_block(sset.alphabet, length, lo, min(lo + step, total)), words, bits)
 
 
 def _best_center(sset: StringSet, score) -> tuple:
     """(index, score) of the first center in lexicographic order with the
-    largest score: first maximum within a block, strictly larger across."""
+    largest ``score(dist)``: first maximum within a block, strictly larger
+    across."""
     best_index, best_value = 0, None
-    for lo, values in _center_scores(sset, score):
+    for lo, dist in _center_blocks(sset):
+        values = score(dist)
         i = int(np.argmax(values))
         if best_value is None or values[i] > best_value:
             best_index, best_value = lo + i, int(values[i])
@@ -176,17 +202,12 @@ def solve_ffms_exact(inst: FfmsInstance) -> CenterResult:
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
-def _kth_smallest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Each center's CkS radius: its k-th smallest distance. A stable sort of
-    8- or 16-bit distances is a radix sort, faster here than ``np.partition``."""
-    return np.sort(dist, axis=1, kind="stable")[:, k - 1]
-
-
 def _cks_result(inst: CksInstance, index: int) -> CenterResult:
     """The center with lexicographic index ``index`` and its k nearest
     strings, ties to the lowest index."""
     sset = inst.set
-    dist = distances(center_block(sset.alphabet, sset.length, index, index + 1), packed(sset))[0]
+    center = center_block(sset.alphabet, sset.length, index, index + 1)
+    dist = distances(center, packed(sset), field_bits(sset.alphabet))[0]
     nearest = np.argsort(dist, kind="stable")[: inst.k]
     return CenterResult(
         center=Word.from_index(index, sset.length, sset.alphabet),
@@ -198,10 +219,25 @@ def _cks_result(inst: CksInstance, index: int) -> CenterResult:
 def solve_cks_exact(inst: CksInstance) -> CenterResult:
     """Minimize the k-th smallest distance over all possible centers.
 
-    With k = n this is the classic Closest String problem.
+    With k = n this is the classic Closest String problem. A center's radius
+    is at most r exactly when it covers k words within r, so a block is
+    scored only if some center covers k words within the incumbent radius
+    minus one; its smallest such radius is found by passes upward from 0, its
+    first center at that radius wins, and a radius of 0 ends the search.
     """
-    index, _ = _best_center(inst.set, lambda dist: -_kth_smallest(dist, inst.k).astype(np.int64))
-    return _cks_result(inst, index)
+    k = inst.k
+    best_index, best = 0, inst.set.length + 1
+    for lo, dist in _center_blocks(inst.set):
+        if not (coverage_counts(dist, best - 1) >= k).any():
+            continue
+        for r in range(best):
+            hits = coverage_counts(dist, r) >= k
+            if hits.any():
+                best_index, best = lo + int(hits.argmax()), r
+                break
+        if best == 0:
+            break
+    return _cks_result(inst, best_index)
 
 
 def solve_msfbc_subsets(inst: MsfbcInstance) -> SubsetResult:

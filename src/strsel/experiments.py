@@ -74,12 +74,13 @@ def _far_table(n: int):
     """``(words, fixing, far)`` for length 2n: the :func:`noncanonical_words`,
     the :func:`all_fixing_words`, and the ``float32`` table with ``far[i, j]``
     = 1 when d(words[i], fixing[j]) > n, else 0. Built in :func:`block_rows`
-    row blocks; read-only, because the cache hands it to every caller."""
+    row blocks, each the words-major buffer of one :func:`distances` call;
+    read-only, because the cache hands it to every caller."""
     words, fixing = noncanonical_words(n), all_fixing_words(n)
     far = np.empty((len(words), len(fixing)), dtype=np.float32)
     step = block_rows(fixing)
     for lo in range(0, len(words), step):
-        far[lo : lo + step] = distances(words[lo : lo + step], fixing) > n
+        far[lo : lo + step] = distances(fixing, words[lo : lo + step], 1).T > n
     for table in (words, fixing, far):
         table.flags.writeable = False
     return words, fixing, far
@@ -152,8 +153,9 @@ def one_sided_binomial_slack(p: float, trials: int, z: float = 1.645) -> float:
     return z * math.sqrt(p * (1 - p) / trials)
 
 
-# trials per campaign block, and fixing strings per draw, keep the uint64
-# draws and the float32 far counts near 2^18 elements, a few MB each
+# trials per campaign block, fixing strings per draw and far-table rows per
+# product keep the uint64 draws, the held counts and the float32 far counts
+# near 2^18 elements, a few MB each
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -171,11 +173,13 @@ def _failing_trials(n: int, m: int, count: int, trials: int, seed: int):
 
     A block of trials is scored at once: their held counts (how many times
     each trial draws each fixing word) come from one offset ``np.bincount``
-    per chunk of strings, and one product of the far table with them gives
-    every word's far count in every trial. The witness is the trial's first
-    failing word in :func:`noncanonical_words` order."""
+    per chunk of strings, and products of row chunks of the far table with
+    them give every word's far count in every trial. A block holds at most
+    sqrt(_BLOCK_ELEMENTS) trials, so that each product spans at least as many
+    table rows. The witness is the trial's first failing word in
+    :func:`noncanonical_words` order."""
     words, fixing, far = _far_table(n)
-    rows = max(1, _BLOCK_ELEMENTS // max(count * n, len(words)))
+    rows = max(1, min(math.isqrt(_BLOCK_ELEMENTS), _BLOCK_ELEMENTS // max(count * n, len(fixing))))
     chunk = max(1, _BLOCK_ELEMENTS // (rows * n))
     for lo in range(0, trials, rows):
         states = derive_seed(seed, np.arange(lo, min(lo + rows, trials), dtype=np.uint64))
@@ -185,11 +189,18 @@ def _failing_trials(n: int, m: int, count: int, trials: int, seed: int):
                         minlength=len(states) * len(fixing))
             for first in range(0, count, chunk)
         )
-        far_counts = held.reshape(len(states), -1).astype(np.float32) @ far.T
-        failing = far_counts < m
-        for t in np.flatnonzero(failing.any(axis=1)):
-            i = int(failing[t].argmax())
-            yield lo + int(t), Word.from_index(int(words[i]), 2 * n), int(far_counts[t, i])
+        held = held.reshape(len(states), -1).astype(np.float32)
+        span = max(1, _BLOCK_ELEMENTS // len(states))
+        witnesses = {}
+        for top in range(0, len(words), span):
+            far_counts = held @ far[top : top + span].T
+            failing = far_counts < m
+            for t in np.flatnonzero(failing.any(axis=1)):
+                if t not in witnesses:
+                    i = int(failing[t].argmax())
+                    witnesses[t] = Word.from_index(int(words[top + i]), 2 * n), int(far_counts[t, i])
+        for t in sorted(witnesses):
+            yield lo + int(t), *witnesses[t]
 
 
 def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> TrialReport:

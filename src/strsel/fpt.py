@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import CenterResult, _center_scores, _cks_result, _kth_smallest, solve_cks_exact, symbol_matrix
+from .exact import CenterResult, _center_blocks, _cks_result, coverage_counts, solve_cks_exact, symbol_matrix
 from .rng import SplitMix64
 from .words import CksInstance, hamming
 
@@ -30,6 +30,8 @@ class OracleContractError(Exception):
 def _validate_oracle_result(inst: CksInstance, result: CenterResult) -> int:
     if result.chosen_subset is None or len(result.chosen_subset) != inst.k:
         raise OracleContractError("oracle must return a subset of exactly k strings")
+    if not inst.is_subset(result.chosen_subset):
+        raise OracleContractError(f"oracle returned subset {result.chosen_subset}, not k distinct indices of words")
     radius = max(hamming(result.center, inst.set.words[i]) for i in result.chosen_subset)
     if radius != result.value:
         raise OracleContractError(
@@ -59,13 +61,26 @@ def exact_oracle(inst: CksInstance, eps: float) -> CenterResult:
     return solve_cks_exact(inst)
 
 
+def _radii(dist: np.ndarray, k: int, length: int) -> np.ndarray:
+    """Each center's CkS radius, the smallest r at which it covers k words:
+    the number of radii r < l at which it covers fewer, counted in passes
+    upward from 0 that stop once every center of the block covers k words."""
+    radii = np.zeros(len(dist), dtype=np.min_scalar_type(length))
+    for r in range(length):
+        short = coverage_counts(dist, r) < k
+        if not short.any():
+            break
+        radii += short
+    return radii
+
+
 def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> CenterResult:
     """Worst contract-honoring oracle for stress tests: returns a feasible
     solution whose radius is drawn from [d_opt, floor((1+eps)*d_opt)].
 
     The drawn solution is uniform over the centers attaining the drawn
     radius (or d_opt, if none does), in lexicographic order."""
-    radii = np.concatenate([r for _, r in _center_scores(inst.set, lambda dist: _kth_smallest(dist, inst.k))])
+    radii = np.concatenate([_radii(dist, inst.k, inst.set.length) for _, dist in _center_blocks(inst.set)])
     d_opt = int(radii.min())
     hi = int((1 + eps) * d_opt)
     rng = SplitMix64(seed)

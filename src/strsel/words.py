@@ -300,6 +300,10 @@ class CksInstance:
         if not 1 <= self.k <= self.set.size:
             raise ValueError(f"k must be in [1, {self.set.size}], got {self.k}")
 
+    def is_subset(self, indices) -> bool:
+        """Whether ``indices`` names k distinct words of the set."""
+        return len(set(indices)) == len(indices) == self.k and all(0 <= i < self.set.size for i in indices)
+
 
 @dataclass(frozen=True)
 class MsfbcInstance:

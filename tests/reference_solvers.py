@@ -15,6 +15,12 @@ differential oracle for the fast paths: those must return equal results,
 ``CenterResult`` and ``SubsetResult`` values and (answer, count) pairs,
 including the lexicographic tie-breaks.
 
+The numpy CkS scorer, :func:`sorted_radii`, is the one ``strsel.exact``
+used before it decided radii by coverage counts: a symbol-matrix column loop
+for the distances and a stable sort of each center's row for its k-th
+smallest distance. It is fast enough for mid-size instances that the
+per-center loops cannot reach.
+
 The fixing-string references draw one ``next_bit()`` per block and score
 each trial of a campaign, and each (word, block) pair of the half bound, on
 its own, where ``strsel`` draws the bits of a block of trials at once and
@@ -128,6 +134,45 @@ def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> 
     if not candidates:
         candidates = table[d_opt]
     return candidates[rng.next_below(len(candidates))]
+
+
+def sorted_radii(sset: StringSet, k: int) -> np.ndarray:
+    """Every center's CkS radius in lexicographic order, scored the way
+    ``strsel.exact`` did before it counted coverage: distances by a column
+    loop over the symbol matrices of all centers and of the words, then the
+    k-th smallest distance of each center by a stable sort of its row."""
+    sigma, length = sset.alphabet.size, sset.length
+    centers = np.arange(sigma**length)[:, None] // sigma ** np.arange(length - 1, -1, -1) % sigma
+    words = np.frombuffer(sset.rows, dtype=np.uint8).reshape(-1, length)
+    dist = np.zeros((len(centers), len(words)), dtype=np.uint8)
+    for j in range(length):
+        dist += centers[:, j, None] != words[None, :, j]
+    return np.sort(dist, axis=1, kind="stable")[:, k - 1]
+
+
+def _cks_result_at(inst: CksInstance, index: int) -> CenterResult:
+    center = Word.from_index(index, inst.set.length, inst.set.alphabet)
+    radius, chosen = k_nearest(center, inst.set, inst.k)
+    return CenterResult(center=center, value=radius, chosen_subset=chosen)
+
+
+def solve_cks_by_sort(inst: CksInstance) -> CenterResult:
+    """The first center in lexicographic order with the smallest
+    :func:`sorted_radii` radius."""
+    return _cks_result_at(inst, int(sorted_radii(inst.set, inst.k).argmin()))
+
+
+def inflating_oracle_by_sort(inst: CksInstance, eps: float, seed: int = 0) -> CenterResult:
+    """:func:`synthetic_inflating_oracle` over the :func:`sorted_radii` array."""
+    radii = sorted_radii(inst.set, inst.k)
+    d_opt = int(radii.min())
+    hi = int((1 + eps) * d_opt)
+    rng = SplitMix64(seed)
+    target = d_opt + rng.next_below(hi - d_opt + 1) if hi > d_opt else d_opt
+    candidates = np.flatnonzero(radii == target)
+    if not len(candidates):
+        candidates = np.flatnonzero(radii == d_opt)
+    return _cks_result_at(inst, int(candidates[rng.next_below(len(candidates))]))
 
 
 def _random_word(sset: StringSet, rng: SplitMix64) -> Word:
@@ -271,7 +316,7 @@ def _far_counts(s_arr: np.ndarray, f_arr: np.ndarray, n: int) -> np.ndarray:
     counts = np.zeros(len(s_arr), dtype=np.int64)
     step = block_rows(f_arr)
     for lo in range(0, len(s_arr), step):
-        counts[lo : lo + step] = (distances(s_arr[lo : lo + step], f_arr) > n).sum(axis=1)
+        counts[lo : lo + step] = (distances(s_arr[lo : lo + step], f_arr, 1) > n).sum(axis=1)
     return counts
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from strsel import CksInstance, StringSet
-from strsel.exact import solve_cks_exact
+from strsel.cli import PROBLEMS
+from strsel.exact import CenterResult, solve_cks_exact
 from strsel.fpt import (
     OracleContractError,
     decide_cks,
@@ -76,6 +77,36 @@ def test_contract_violation_detected():
 
     with pytest.raises(OracleContractError):
         decide_cks(inst, 1, lying_oracle)
+
+
+# (texts, k, subset): a repeated index, one past the last word, one before the first
+BAD_SUBSETS = [
+    (["000", "111"], 2, (0, 0)),
+    (["000", "111", "010"], 3, (0, 1, 9)),
+    (["000", "111", "010"], 3, (-1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("texts, k, subset", BAD_SUBSETS)
+def test_contract_requires_k_distinct_indices_in_range(texts, k, subset):
+    inst = CksInstance(StringSet.from_texts(texts), k=k)
+    res = CenterResult(center=inst.set.words[0], value=0, chosen_subset=subset)
+    with pytest.raises(OracleContractError, match="not k distinct indices"):
+        decide_cks(inst, 1, lambda inst, eps: res)
+    # the solve cks recheck rejects the same subsets instead of indexing with them
+    recheck = PROBLEMS["cks"][2]
+    assert recheck(inst, res) is False
+    assert recheck(inst, solve_cks_exact(inst)) is True
+
+
+def test_repeated_index_no_longer_fakes_a_small_radius():
+    # center 000 with subset (0, 0) has radius 0, but covering both words takes 2
+    inst = CksInstance(StringSet.from_texts(["000", "111"]), k=2)
+    assert solve_cks_exact(inst).value == 2
+    cheat = CenterResult(center=inst.set.words[0], value=0, chosen_subset=(0, 0))
+    with pytest.raises(OracleContractError):
+        decide_cks(inst, 1, lambda inst, eps: cheat)
+    assert decide_cks(inst, 1, exact_oracle) is False
 
 
 def test_negative_d_rejected():

@@ -17,6 +17,7 @@ from strsel.exact import (
     BudgetExceededError,
     center_block,
     distances,
+    field_bits,
     packed,
     solve_cks_exact,
     solve_cms_exact,
@@ -36,14 +37,17 @@ from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, Msfbc
 
 # longest words per alphabet that keep the reference solvers fast
 MAX_LENGTH = {2: 8, 3: 5, 4: 4}
+# the same for the kernel against hamming over all centers, with fields of
+# 1, 2, 3 and 6 bits, the last three not filled by the symbols
+KERNEL_LENGTH = {2: 8, 3: 5, 4: 4, 5: 4, 36: 2}
 # element budgets per kernel call: one word per block up to everything at once
 BLOCK_ELEMENTS = [1, 7, 64, 1 << 20]
 
 
 @st.composite
-def string_sets(draw):
-    sigma = draw(st.sampled_from(sorted(MAX_LENGTH)))
-    length = draw(st.integers(1, MAX_LENGTH[sigma]))
+def string_sets(draw, max_length=MAX_LENGTH):
+    sigma = draw(st.sampled_from(sorted(max_length)))
+    length = draw(st.integers(1, max_length[sigma]))
     rows = draw(
         st.lists(
             st.lists(st.integers(0, sigma - 1), min_size=length, max_size=length), min_size=1, max_size=12
@@ -76,6 +80,54 @@ def test_inflating_oracle_matches_reference(sset, block, seeds, eps, data):
     with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
         for seed in seeds:
             assert synthetic_inflating_oracle(inst, eps, seed) == ref.synthetic_inflating_oracle(inst, eps, seed)
+
+
+def _solve_cks_counting_passes(inst):
+    """``solve_cks_exact(inst)`` and the number of coverage passes it makes
+    on each block it is given."""
+    passes = []
+    blocks, counts = exact._center_blocks, exact.coverage_counts
+
+    def counting_blocks(sset):
+        for item in blocks(sset):
+            passes.append(0)
+            yield item
+
+    def counting(dist, d):
+        passes[-1] += 1
+        return counts(dist, d)
+
+    with mock.patch.object(exact, "_center_blocks", counting_blocks), mock.patch.object(
+        exact, "coverage_counts", counting
+    ):
+        return solve_cks_exact(inst), passes
+
+
+@pytest.mark.parametrize("sigma, length, n", [(2, 14, 40), (3, 9, 30)])
+@pytest.mark.parametrize("block", [1 << 13, 1 << 16])
+def test_cks_and_oracle_match_the_sort_scorer_at_mid_size(sigma, length, n, block):
+    sset = random_string_set(sigma, length, n, seed=length)
+    total = sigma**length
+    # three copies of a center two thirds of the way in: for k <= 3 its radius
+    # of 0 is the optimum, in a later block than the first
+    late = Word.from_index(2 * total // 3, length, sset.alphabet)
+    repeated = StringSet.from_words(list(sset.words) + [late] * 3)
+    cases = [CksInstance(sset, k) for k in (1, n // 4, n // 2, n)] + [CksInstance(repeated, k) for k in (2, 3)]
+    with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
+        for inst in cases:
+            expected = ref.solve_cks_by_sort(inst)
+            result, passes = _solve_cks_counting_passes(inst)
+            assert result == expected
+            if inst.set is repeated:
+                assert result.center == late and result.value == 0
+                # the search stopped at radius 0, before the last block
+                assert len(passes) < len(list(exact._center_blocks(inst.set)))
+            if expected.value > 0:
+                # some blocks were skipped after the one pass at the incumbent
+                # radius minus one, and some were scored
+                assert 1 in passes and max(passes) > 1
+            for eps, seed in ((0.0, 1), (0.5, 2), (3.0, 2**64 - 1)):
+                assert synthetic_inflating_oracle(inst, eps, seed) == ref.inflating_oracle_by_sort(inst, eps, seed)
 
 
 @st.composite
@@ -111,31 +163,59 @@ def test_local_search_matches_reference(sset, start, max_iterations, restarts, s
 
 
 @settings(max_examples=60, deadline=None)
-@given(string_sets())
+@given(string_sets(KERNEL_LENGTH))
 def test_kernel_matches_hamming_in_lexicographic_order(sset):
     centers = list(ref.enumerate_words(sset.alphabet, sset.length))
     block = center_block(sset.alphabet, sset.length, 0, len(centers))
     expected = [[hamming(c, w) for w in sset] for c in centers]
-    assert distances(block, packed(sset)).tolist() == expected
+    assert distances(block, packed(sset), field_bits(sset.alphabet)).tolist() == expected
     assert [Word.from_index(i, sset.length, sset.alphabet) for i in range(len(centers))] == centers
 
 
-@pytest.mark.parametrize("sigma, length", [(2, 1), (2, 8), (2, 9), (2, 33), (2, 64), (3, 7), (36, 5)])
+def _packed_symbols(word: Word) -> int:
+    bits = field_bits(word.alphabet)
+    return sum(c << bits * (len(word) - 1 - j) for j, c in enumerate(word.symbols))
+
+
+@pytest.mark.parametrize(
+    "sigma, length", [(2, 1), (2, 8), (2, 9), (2, 33), (2, 64), (3, 7), (36, 5), (3, 32), (5, 21), (36, 10)]
+)
 def test_views_of_the_row_buffer_match_the_words(sigma, length):
     sset = random_string_set(sigma, length, 6, seed=length)
     matrix = symbol_matrix(sset)
     assert not matrix.flags.writeable
     assert matrix.tolist() == [list(w.symbols) for w in sset]
+    assert packed(sset).tolist() == [_packed_symbols(w) for w in sset]
     if sigma == 2:
         assert packed(sset).tolist() == [w.bits for w in sset]
 
 
-def test_binary_kernel_on_24_bit_centers():
-    sset = random_string_set(2, 24, 5, seed=3)
-    lo = (1 << 24) - 3
-    block = center_block(sset.alphabet, sset.length, lo, 1 << 24)
-    expected = [[hamming(Word.from_index(i, 24), w) for w in sset] for i in range(lo, 1 << 24)]
-    assert np.array_equal(distances(block, packed(sset)), expected)
+@pytest.mark.parametrize("sigma, length", [(2, 65), (3, 33), (5, 22), (36, 11)])
+def test_packed_refuses_words_past_64_bits(sigma, length):
+    with pytest.raises(ValueError, match="above the 64 of one packed word"):
+        packed(random_string_set(sigma, length, 2, seed=1))
+
+
+def test_every_alphabet_packs_its_budget_lengths_into_64_bits():
+    # sigma^l <= 2^24 gives l*b <= 48, so a center enumeration never meets the refusal
+    for sigma in range(2, 37):
+        length = max(l for l in range(1, 25) if sigma**l <= exact.DEFAULT_ENUM_BUDGET)
+        assert length * field_bits(Alphabet(sigma)) <= 48
+
+
+@pytest.mark.parametrize("sigma, length", [(2, 24), (3, 15), (4, 12), (5, 10), (36, 4)])
+def test_kernel_at_the_budget_matches_from_index(sigma, length):
+    # the longest words whose sigma^l centers the enumeration budget admits
+    total = sigma**length
+    assert total <= exact.DEFAULT_ENUM_BUDGET < total * sigma
+    sset = random_string_set(sigma, length, 5, seed=3)
+    for lo in (0, total // 3, total - 3):
+        block = center_block(sset.alphabet, length, lo, lo + 3)
+        words = [Word.from_index(i, length, sset.alphabet) for i in range(lo, lo + 3)]
+        assert block.tolist() == [_packed_symbols(w) for w in words]
+        expected = [[hamming(c, w) for w in sset] for c in words]
+        assert np.array_equal(distances(block, packed(sset), field_bits(sset.alphabet)), expected)
+    assert words[-1] == Word([sigma - 1] * length, sset.alphabet)
 
 
 def _expected_center_output(problem, res) -> str:
