@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import secrets
 import sys
 import time
 from pathlib import Path
@@ -34,6 +33,10 @@ def _resolve_seed(args) -> tuple[int, bool]:
     """(seed, was_auto_drawn)."""
     if getattr(args, "seed", None) is not None:
         return args.seed, False
+    # imported here, not at the top: secrets loads hashlib and OpenSSL's
+    # libcrypto, a few MB of resident memory that a run with --seed never uses
+    import secrets
+
     return secrets.randbits(63), True
 
 
@@ -172,6 +175,8 @@ def _cmd_solve(args) -> int:
     inst = parse(Path(args.file).read_text())
     if args.algo not in solvers:
         raise ValueError(f"--algo {args.algo} does not apply to {args.problem}; use {' or '.join(solvers)}")
+    if args.k is not None and args.problem != "dks":
+        raise ValueError(f"--k applies to dks only; {args.problem} takes its parameters from the instance file")
     record = [("problem", args.problem), ("algorithm", args.algo)]
     if args.algo == "local":
         args.seed, _ = _resolve_seed(args)
@@ -196,16 +201,24 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _oracle(spec: str):
+    """The decision oracle that ``--oracle`` names: ``exact`` or ``inflate:<seed>``."""
+    if spec == "exact":
+        return fpt.exact_oracle
+    kind, _, seed = spec.partition(":")
+    if kind == "inflate":
+        try:
+            seed = int(seed)
+        except ValueError:
+            pass
+        else:
+            return fpt.make_inflating_oracle(seed)
+    raise ValueError(f"unknown oracle {spec!r}; use 'exact' or 'inflate:<seed>'")
+
+
 def _cmd_decide_cks(args) -> int:
     inst = parse_strings_instance(Path(args.file).read_text(), CksInstance)
-    spec = args.oracle
-    if spec == "exact":
-        oracle = fpt.exact_oracle
-    elif spec.startswith("inflate:"):
-        oracle = fpt.make_inflating_oracle(int(spec.split(":", 1)[1]))
-    else:
-        raise ValueError(f"unknown oracle {spec!r}; use 'exact' or 'inflate:<seed>'")
-    answer = fpt.decide_cks(inst, args.d, oracle)
+    answer = fpt.decide_cks(inst, args.d, _oracle(args.oracle))
     _emit([("problem", "cks-decision"), ("d", args.d), ("answer", "yes" if answer else "no")])
     return 0
 

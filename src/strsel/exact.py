@@ -150,10 +150,11 @@ def distances(centers: np.ndarray, words: np.ndarray, bits: int) -> np.ndarray:
     return np.bitwise_count(diff).T
 
 
-def _center_blocks(sset: StringSet):
+def _center_blocks(sset: StringSet, start: int = 0):
     """Yield ``(lo, dist)`` for consecutive blocks of all centers in
     lexicographic order, where ``dist`` is the block's :func:`distances`
-    array and ``lo`` the index of its first center."""
+    array and ``lo`` the index of its first center. The blocks start at
+    ``start``, which is 0 or the ``lo`` of an earlier call's block."""
     sigma, length = sset.alphabet.size, sset.length
     check_budget("center enumeration", f"{sigma}^{length} words", ("^", sigma, length), DEFAULT_ENUM_BUDGET)
     words = packed(sset)
@@ -161,7 +162,7 @@ def _center_blocks(sset: StringSet):
     total = sigma**length
     # folding fields of more than one bit takes a second word-sized buffer
     step = block_rows(words, 1 + (bits > 1))
-    for lo in range(0, total, step):
+    for lo in range(start, total, step):
         yield lo, distances(center_block(sset.alphabet, length, lo, min(lo + step, total)), words, bits)
 
 
@@ -216,28 +217,41 @@ def _cks_result(inst: CksInstance, index: int) -> CenterResult:
     )
 
 
-def solve_cks_exact(inst: CksInstance) -> CenterResult:
-    """Minimize the k-th smallest distance over all possible centers.
+def _cks_optimum(blocks, k: int, length: int) -> tuple:
+    """(index, radius) of the first center in lexicographic order with the
+    smallest CkS radius, its k-th smallest distance, over the
+    :func:`_center_blocks` of a string set of words of ``length`` symbols.
 
-    With k = n this is the classic Closest String problem. A center's radius
-    is at most r exactly when it covers k words within r, so a block is
-    scored only if some center covers k words within the incumbent radius
-    minus one; its smallest such radius is found by passes upward from 0, its
-    first center at that radius wins, and a radius of 0 ends the search.
+    A center's radius is at most r exactly when it covers k words within r,
+    so a block is scored only if some center covers k words within the
+    incumbent radius minus one; its smallest such radius is found by a
+    binary search below that, its first center at that radius wins, and a
+    radius of 0 ends the search.
     """
-    k = inst.k
-    best_index, best = 0, inst.set.length + 1
-    for lo, dist in _center_blocks(inst.set):
-        if not (coverage_counts(dist, best - 1) >= k).any():
+    best_index, best = 0, length + 1
+    for lo, dist in blocks:
+        # no pass at best - 1 = length: every center covers all words within it
+        hits = coverage_counts(dist, best - 1) >= k if best <= length else np.ones(len(dist), dtype=bool)
+        if not hits.any():
             continue
-        for r in range(best):
-            hits = coverage_counts(dist, r) >= k
-            if hits.any():
-                best_index, best = lo + int(hits.argmax()), r
-                break
+        low, best = 0, best - 1
+        while low < best:
+            mid = (low + best) // 2
+            within = coverage_counts(dist, mid) >= k
+            if within.any():
+                hits, best = within, mid
+            else:
+                low = mid + 1
+        best_index = lo + int(hits.argmax())
         if best == 0:
             break
-    return _cks_result(inst, best_index)
+    return best_index, best
+
+
+def solve_cks_exact(inst: CksInstance) -> CenterResult:
+    """Minimize the k-th smallest distance over all possible centers. With
+    k = n this is the classic Closest String problem."""
+    return _cks_result(inst, _cks_optimum(_center_blocks(inst.set), inst.k, inst.set.length)[0])
 
 
 def solve_msfbc_subsets(inst: MsfbcInstance) -> SubsetResult:

@@ -43,14 +43,6 @@ def _pair_mask(n: int) -> int:
     return int("01" * n, 2)
 
 
-def noncanonical_words(n: int) -> np.ndarray:
-    """Packed integers for all words in {0,1}^(2n) \\ {00,11}^n."""
-    mask = _pair_mask(n)
-    arr = np.arange(1 << (2 * n), dtype=np.uint32)
-    keep = ((arr ^ (arr >> 1)) & mask) != 0
-    return arr[keep]
-
-
 def all_fixing_words(n: int) -> np.ndarray:
     """Packed integers for all 2^n words in {01,10}^n, ascending: bit t of
     the index puts block 10 instead of 01 at bits 2t and 2t + 1."""
@@ -71,12 +63,20 @@ def _check_fixing_count(count: int):
 
 @functools.lru_cache(maxsize=1)
 def _far_table(n: int):
-    """``(words, fixing, far)`` for length 2n: the :func:`noncanonical_words`,
-    the :func:`all_fixing_words`, and the ``float32`` table with ``far[i, j]``
-    = 1 when d(words[i], fixing[j]) > n, else 0. Built in :func:`block_rows`
-    row blocks, each the words-major buffer of one :func:`distances` call;
-    read-only, because the cache hands it to every caller."""
-    words, fixing = noncanonical_words(n), all_fixing_words(n)
+    """``(words, fixing, far)`` for length 2n: the words of {00,01,10}^n
+    \\ {0^(2n)}, ascending, the :func:`all_fixing_words`, and the ``float32``
+    table with ``far[i, j]`` = 1 when d(words[i], fixing[j]) > n, else 0.
+    Built in :func:`block_rows` row blocks, each the words-major buffer of one
+    :func:`distances` call; read-only, because the cache hands it to every
+    caller.
+
+    A 11 block, like a 00 block, is at distance 1 from both 01 and 10, so
+    every non-canonical word (outside {00,11}^n) has the far row of the word
+    with its 11 blocks turned into 00: one row per block class, 3^n - 1 rows
+    instead of 4^n - 2^n."""
+    words = np.arange(1 << (2 * n), dtype=np.uint32)
+    words = words[((words & words >> 1 & _pair_mask(n)) == 0) & (words != 0)]
+    fixing = all_fixing_words(n)
     far = np.empty((len(words), len(fixing)), dtype=np.float32)
     step = block_rows(fixing)
     for lo in range(0, len(words), step):
@@ -93,7 +93,9 @@ def structural_property_holds(fixing: StringSet, n: int, m: int):
     against how many times F holds each fixing word.
 
     Returns (holds, witness word or None, witness's far-string count); the
-    witness is the first failing word in :func:`noncanonical_words` order.
+    witness is the first failing non-canonical word in ascending order, which
+    has a row in the far table: turning a 11 block into 00 would give a
+    smaller word with the same far count.
     """
     _check_n(n)
     rows = symbol_matrix(fixing)
@@ -176,8 +178,8 @@ def _failing_trials(n: int, m: int, count: int, trials: int, seed: int):
     per chunk of strings, and products of row chunks of the far table with
     them give every word's far count in every trial. A block holds at most
     sqrt(_BLOCK_ELEMENTS) trials, so that each product spans at least as many
-    table rows. The witness is the trial's first failing word in
-    :func:`noncanonical_words` order."""
+    table rows. The witness is the trial's first failing word in ascending
+    order, as in :func:`structural_property_holds`."""
     words, fixing, far = _far_table(n)
     rows = max(1, min(math.isqrt(_BLOCK_ELEMENTS), _BLOCK_ELEMENTS // max(count * n, len(fixing))))
     chunk = max(1, _BLOCK_ELEMENTS // (rows * n))

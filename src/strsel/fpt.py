@@ -16,7 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import CenterResult, _center_blocks, _cks_result, coverage_counts, solve_cks_exact, symbol_matrix
+from .exact import (
+    CenterResult,
+    _center_blocks,
+    _cks_optimum,
+    _cks_result,
+    coverage_counts,
+    solve_cks_exact,
+    symbol_matrix,
+)
 from .rng import SplitMix64
 from .words import CksInstance, hamming
 
@@ -61,17 +69,13 @@ def exact_oracle(inst: CksInstance, eps: float) -> CenterResult:
     return solve_cks_exact(inst)
 
 
-def _radii(dist: np.ndarray, k: int, length: int) -> np.ndarray:
-    """Each center's CkS radius, the smallest r at which it covers k words:
-    the number of radii r < l at which it covers fewer, counted in passes
-    upward from 0 that stop once every center of the block covers k words."""
-    radii = np.zeros(len(dist), dtype=np.min_scalar_type(length))
-    for r in range(length):
-        short = coverage_counts(dist, r) < k
-        if not short.any():
-            break
-        radii += short
-    return radii
+def _at_radius(dist: np.ndarray, k: int, r: int, d_opt: int) -> np.ndarray:
+    """Which centers of a block have CkS radius exactly r >= d_opt: they
+    cover k words within r, and, unless r = d_opt, fewer within r - 1."""
+    hits = coverage_counts(dist, r) >= k
+    if r > d_opt and hits.any():
+        hits &= coverage_counts(dist, r - 1) < k
+    return hits
 
 
 def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> CenterResult:
@@ -79,17 +83,36 @@ def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> 
     solution whose radius is drawn from [d_opt, floor((1+eps)*d_opt)].
 
     The drawn solution is uniform over the centers attaining the drawn
-    radius (or d_opt, if none does), in lexicographic order."""
-    radii = np.concatenate([_radii(dist, inst.k, inst.set.length) for _, dist in _center_blocks(inst.set)])
-    d_opt = int(radii.min())
+    radius (or d_opt, if none does), in lexicographic order. d_opt comes
+    from the pruned CkS search; the candidates are counted block by block,
+    and only the block that holds the drawn one is scored again. The first
+    block's distances are kept for every pass, so that a string set whose
+    centers fit one block is scored once."""
+    first = next(_center_blocks(inst.set))
+    more = len(first[1]) < inst.set.alphabet.size**inst.set.length
+
+    def blocks(start=0):
+        if start == 0:
+            yield first
+        if more:
+            yield from _center_blocks(inst.set, max(start, len(first[1])))
+
+    d_opt = _cks_optimum(blocks(), inst.k, inst.set.length)[1]
     hi = int((1 + eps) * d_opt)
     rng = SplitMix64(seed)
     target = d_opt + rng.next_below(hi - d_opt + 1) if hi > d_opt else d_opt
-    candidates = np.flatnonzero(radii == target)
-    if not len(candidates):
-        # no feasible solution attains exactly the drawn radius
-        candidates = np.flatnonzero(radii == d_opt)
-    return _cks_result(inst, int(candidates[rng.next_below(len(candidates))]))
+    # the centers of d_opt are drawn from when none has the drawn radius
+    for radius in dict.fromkeys((target, d_opt)):
+        counts = {lo: int(_at_radius(dist, inst.k, radius, d_opt).sum()) for lo, dist in blocks()}
+        if any(counts.values()):
+            break
+    index = rng.next_below(sum(counts.values()))
+    for lo, count in counts.items():
+        if index < count:
+            break
+        index -= count
+    _, dist = next(blocks(lo))
+    return _cks_result(inst, lo + int(np.flatnonzero(_at_radius(dist, inst.k, radius, d_opt))[index]))
 
 
 def make_inflating_oracle(seed: int) -> ApproxOracle:

@@ -23,8 +23,9 @@ per-center loops cannot reach.
 
 The fixing-string references draw one ``next_bit()`` per block and score
 each trial of a campaign, and each (word, block) pair of the half bound, on
-its own, where ``strsel`` draws the bits of a block of trials at once and
-scores them with one product against the far table of n. The gap check
+its own, over every non-canonical word, where ``strsel`` draws the bits of a
+block of trials at once and scores them with one product against the far
+table of n, which holds one row per block class. The gap check
 evaluates every (m, k) pair where ``strsel`` evaluates the two ends of each
 k range. The certificate references at the end build one (index, kind, ref)
 entry per generated string, where a certificate records runs of refs.
@@ -47,7 +48,7 @@ from strsel.exact import (
     distances,
     packed,
 )
-from strsel.experiments import all_fixing_words, noncanonical_words
+from strsel.experiments import all_fixing_words
 from strsel.heuristics import SearchConfig
 from strsel.reductions import Graph, Max2SatInstance, ReductionCertificate
 from strsel.rng import SplitMix64, derive_seed
@@ -309,6 +310,14 @@ _BLOCKS = ((0, 1), (1, 0))
 def fixing_strings(count: int, n: int, seed: int) -> StringSet:
     rng = SplitMix64(seed)
     return StringSet(BINARY, 2 * n, bytes(c for _ in range(count * n) for c in _BLOCKS[rng.next_bit()]))
+
+
+def noncanonical_words(n: int) -> np.ndarray:
+    """Packed integers for all words in {0,1}^(2n) \\ {00,11}^n, ascending:
+    every word that ``strsel.experiments`` scores through the far row of its
+    11 -> 00 representative."""
+    arr = np.arange(1 << (2 * n), dtype=np.uint32)
+    return arr[((arr ^ (arr >> 1)) & int("01" * n, 2)) != 0]
 
 
 def _far_counts(s_arr: np.ndarray, f_arr: np.ndarray, n: int) -> np.ndarray:

@@ -172,6 +172,32 @@ def test_decide_cks(capsys, tmp_path):
     assert status == 0 and as_dict(out)["answer"] == "no"
 
 
+@pytest.mark.parametrize("oracle", ["inflate:abc", "inflate:", "inflate", "sort"])
+def test_decide_cks_rejects_an_unknown_oracle(capsys, tmp_path, oracle):
+    p = tmp_path / "cks.txt"
+    p.write_text("strings 2 3 3\nparam k 2\n000\n011\n111\n")
+    status = main(["decide-cks", "-f", str(p), "--d", "1", "--oracle", oracle])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: unknown oracle {oracle!r}; use 'exact' or 'inflate:<seed>'\n"
+
+
+@pytest.mark.parametrize(
+    "problem, text",
+    [("cks", "strings 2 3 3\nparam k 2\n000\n011\n111\n"), ("msfbc", "strings 2 2 2\nparam k 1\n00\n11\n"),
+     ("cms", CMS), ("max2sat", "p cnf 2 1\n1 2 0\n")],
+)
+def test_solve_refuses_k_for_a_problem_that_reads_no_k(capsys, tmp_path, problem, text):
+    p = tmp_path / "input.txt"
+    p.write_text(text)
+    status = main(["solve", problem, "-f", str(p), "--k", "5"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: --k applies to dks only; {problem} takes its parameters from the instance file\n"
+    )
+
+
 def test_experiment_inequalities(capsys):
     status, out = run(capsys, "experiment", "inequalities", "--c", "20", "--m", "50")
     assert status == 0
@@ -441,6 +467,32 @@ def test_solve_max2sat_recheck_is_independent_of_the_solver(capsys, tmp_path, mo
     monkeypatch.setattr(Max2SatInstance, "satisfied_count", lambda self, a: satisfied_count(self, a) + 1)
     status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
     assert status == 1 and as_dict(out)["recheck"] == "fail"
+
+
+# prints which of the modules that secrets loads are imported: after the
+# import of the CLI, and after a run with and without --seed
+NO_SECRETS_AT_IMPORT = """
+import sys
+from strsel import cli
+def loaded():
+    return [name for name in ("secrets", "_hashlib") if name in sys.modules]
+print(loaded())
+cli.main(["experiment", "las-vegas", "--n", "3", "--m", "3", "--seed", "1"])
+print(loaded())
+cli.main(["experiment", "las-vegas", "--n", "3", "--m", "3"])
+print(loaded())
+"""
+
+
+def test_only_a_drawn_seed_imports_secrets_and_openssl():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SECRETS_AT_IMPORT], capture_output=True, text=True, env=env,
+                          timeout=60)
+    lines = [line for line in done.stdout.splitlines() if line.startswith("[")]
+    assert done.returncode == 0 and lines[:2] == ["[]", "[]"]
+    # the check sees the module once a seed is drawn
+    assert lines[2].startswith("['secrets'")
 
 
 def _transcript(capsys, commands):

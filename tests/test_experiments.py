@@ -1,8 +1,10 @@
 """Exhaustive probability-bound checks, the arithmetic inequality grid, and
 the Las-Vegas retry loop, cross-checked against slow pure-Python oracles."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,6 @@ from strsel.experiments import (
     las_vegas_loop,
     lemma_fixing_campaign,
     lemma_fixing_trial,
-    noncanonical_words,
     per_pair_quarter_bound,
     structural_property_holds,
 )
@@ -42,7 +43,7 @@ def slow_noncanonical(n):
 
 def test_noncanonical_enumeration_matches_oracle():
     for n in (1, 2, 3):
-        fast = {int(x) for x in noncanonical_words(n)}
+        fast = {int(x) for x in ref.noncanonical_words(n)}
         slow = {w.bits for w in slow_noncanonical(n)}
         assert fast == slow
         assert len(fast) == 4**n - 2**n
@@ -58,6 +59,26 @@ def test_all_fixing_words_enumeration():
                 assert w[2 * i] != w[2 * i + 1]
         assert len({w.bits for w in words}) == 2**n
         assert (packed[1:] > packed[:-1]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_far_table_rows_are_the_block_classes(n):
+    words, fixing, far = experiments._far_table(n)
+    blocks = itertools.product((0b00, 0b01, 0b10), repeat=n)
+    classes = sorted(sum(block << 2 * t for t, block in enumerate(word)) for word in blocks)[1:]
+    assert words.tolist() == classes and len(words) == 3**n - 1
+    assert far.shape == (3**n - 1, 2**n)
+    # every non-canonical word has the far row of its 11 -> 00 representative
+    every = ref.noncanonical_words(n)
+    eleven = every & every >> 1 & int("01" * n, 2)
+    rows = far[np.searchsorted(words, every & ~(eleven * 3))]
+    assert (rows == (np.bitwise_count(every[:, None] ^ fixing[None, :]) > n)).all()
+    assert (rows.sum(axis=1) == ref._far_counts(every, fixing, n)).all()
+
+
+def test_far_table_at_the_cap_has_one_row_per_block_class():
+    words, fixing, far = experiments._far_table(experiments.MAX_N)
+    assert far.shape == (6560, 256) and far.dtype == np.float32 and len(words) == 6560
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -195,6 +216,14 @@ def test_campaign_equals_the_per_trial_reference(n, c, extra, trials, seed):
     # small c and m close to n: failures, and so witnesses, are common
     m = n + extra
     assert report_fields(lemma_fixing_campaign(n, m, c, trials, seed)) == ref.lemma_fixing_campaign(n, m, c, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_campaign_at_n7_equals_the_per_trial_reference(seed):
+    # c = 1 and m = n: most trials fail, so witnesses are compared too
+    report = lemma_fixing_campaign(7, 7, 1, 30, seed)
+    assert report_fields(report) == ref.lemma_fixing_campaign(7, 7, 1, 30, seed)
+    assert report.failures > 0
 
 
 @pytest.mark.parametrize("elements", [1, 16, 100, 500])

@@ -2,7 +2,8 @@
 
 import pytest
 
-from strsel import CksInstance, StringSet
+import reference_solvers as ref
+from strsel import CksInstance, StringSet, exact, fpt
 from strsel.cli import PROBLEMS
 from strsel.exact import CenterResult, solve_cks_exact
 from strsel.fpt import (
@@ -14,6 +15,7 @@ from strsel.fpt import (
     synthetic_inflating_oracle,
 )
 from strsel.gen import random_string_set
+from strsel.rng import SplitMix64
 
 
 def test_epsilon_below_integrality_threshold():
@@ -55,6 +57,56 @@ def test_inflating_oracle_feasible():
     res = synthetic_inflating_oracle(inst, 0.4, seed=7)
     assert len(res.chosen_subset) == 3
     assert max(hamming(res.center, inst.set.words[i]) for i in res.chosen_subset) == res.value
+
+
+def test_inflating_oracle_falls_back_to_d_opt_when_no_center_has_the_drawn_radius():
+    # for k = 2 every center of {000, 111} has radius 2 or 3, and eps = 3 draws
+    # targets from 2 to 8
+    inst = CksInstance(StringSet.from_texts(["000", "111"]), k=2)
+    fallbacks = 0
+    for seed in range(20):
+        target = 2 + SplitMix64(seed).next_below(7)
+        res = synthetic_inflating_oracle(inst, 3.0, seed)
+        assert res == ref.synthetic_inflating_oracle(inst, 3.0, seed)
+        assert res.value == (target if target <= 3 else 2)
+        fallbacks += target > 3
+    assert 0 < fallbacks < 20
+
+
+@pytest.mark.parametrize("elements", [1, 64, 1 << 20])
+def test_inflating_oracle_scores_again_only_the_block_of_the_drawn_center(monkeypatch, elements):
+    inst = CksInstance(random_string_set(2, 8, 6, seed=4), k=3)
+    blocks = exact._center_blocks
+    calls = []
+
+    def recording(sset, start=0):
+        calls.append([start, 0])
+        for item in blocks(sset, start):
+            calls[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(exact, "_BLOCK_ELEMENTS", elements)
+    monkeypatch.setattr(fpt, "_center_blocks", recording)
+    step = min(256, exact.block_rows(exact.packed(inst.set)))
+    assert step == {1: 1, 64: 10, 1 << 20: 256}[elements]
+    later = 0
+    for seed in range(40):
+        calls.clear()
+        res = synthetic_inflating_oracle(inst, 0.5, seed)
+        assert res == ref.synthetic_inflating_oracle(inst, 0.5, seed)
+        # the first block is scored once and kept; every pass scores the
+        # others, and then the drawn center's block is scored again
+        if step == 256:
+            assert calls == [[0, 1]]
+            continue
+        assert calls[0] == [0, 1]
+        passes = calls[1:] if res.center.bits < step else calls[1:-1]
+        assert passes[:2] == [[step, -(-256 // step) - 1]] * 2
+        if res.center.bits >= step:
+            start, scored = calls[-1]
+            assert scored == 1 and start <= res.center.bits < start + step
+            later += 1
+    assert later > 0 or step == 256
 
 
 def test_decision_agrees_with_bruteforce():
