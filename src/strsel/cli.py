@@ -103,12 +103,14 @@ def _k(args, command: str) -> int:
 
 
 def _satisfied_clauses(phi, assignment) -> int:
-    """Counted from the clause literals, not by Max2SatInstance.satisfied_count, which the solver uses."""
+    """Counted from the clause literals, not by Max2SatInstance.satisfied_count: the recheck shares no
+    code with the instance's own scoring, so a fault there cannot confirm a wrong value."""
     return sum(any(assignment[lit.variable - 1] == lit.positive for lit in clause) for clause in phi.clauses)
 
 
 def _induced_edges(graph, vertices) -> int:
-    """Counted over vertex pairs, not by Graph.induced_edge_count, which the solver uses."""
+    """Counted over vertex pairs, not by Graph.induced_edge_count: the recheck shares no code with the
+    graph's own scoring, so a fault there cannot confirm a wrong value."""
     edges = set(graph.edges)
     return sum(pair in edges for pair in itertools.combinations(vertices, 2))
 

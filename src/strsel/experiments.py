@@ -1,7 +1,7 @@
 """Verification campaigns for the probabilistic and arithmetic claims behind
 the Max-2-SAT reduction: the fixing-string structural property, its per-pair
-probability bounds, the approximation-gap inequalities, and the Las-Vegas
-retry loop.
+probability bounds, the gap and union-bound inequalities (decided in closed
+form, for every m and n), and the Las-Vegas retry loop.
 
 Words are manipulated as packed integers here (blocks are adjacent bit
 pairs), which keeps the exhaustive enumerations fast enough to run in CI.
@@ -33,8 +33,6 @@ from .rng import derive_seed, stream_bits
 from .words import StringSet, Word
 
 MAX_N = 8
-# values of m that experiment inequalities sweeps; 2^24 of them take a few seconds
-MAX_GAP_M = 2**24
 # a float32 sum of 0/1 terms is an exact integer while it stays below 2^24
 _FLOAT32_EXACT = 1 << 24
 
@@ -283,66 +281,38 @@ class InequalityReport:
     gap_holds: bool
     structural_threshold_holds: bool
     union_bound_holds: bool
-    failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.gap_holds and self.structural_threshold_holds and self.union_bound_holds
 
 
-def gap_failures(c: int, m_max: int, eps_grid) -> list:
-    """("gap", m, k, eps), in (m, eps) order, wherever some k in [ceil(m/2), m]
-    has (cm + k)/(1+eps) <= cm + (21/22)k. The gap is affine in k, so only the
-    two ends are evaluated, 2^16 values of m at a time; k is the lower end
-    when the check fails there, else m."""
-    exact.check_budget("the gap sweep", f"{m_max} values of m", m_max, MAX_GAP_M)
-    failures = []
-    for lo in range(1, m_max + 1, 1 << 16):
-        m = np.arange(lo, min(lo + (1 << 16), m_max + 1), dtype=np.float64)[:, None]
-        ends = np.hstack([(m + 1) // 2, m])
-        fails = np.stack([(c * m + ends) / (1.0 + eps) <= c * m + (21.0 / 22.0) * ends for eps in eps_grid], axis=1)
-        for i, e in zip(*np.nonzero(fails.any(axis=2))):
-            failures.append(("gap", lo + int(i), float(ends[i, fails[i, e].argmax()]), eps_grid[e]))
-    return failures
+def gap_holds(c: int, p: int, q: int) -> bool:
+    """The gap check (a) of :func:`inequality_checks` at eps = p/q."""
+    return p * (21 + 44 * c) < q
 
 
-def inequality_checks(c: int, m_max: int, n_max: int = 60) -> InequalityReport:
-    """Numerically verify the three arithmetic facts behind the reduction:
-
-    (a) for every m <= m_max, every achievable optimum k* in [ceil(m/2), m],
-        and eps below the threshold 1/(21+44c):
-        (cm + k*)/(1+eps) > cm + (21/22) k*;
-    (b) those eps also sit below the structural-lemma applicability
-        threshold 1/(2c);
-    (c) the union-bound quantity (4^n - 2^n) exp(-(c-4)^2 n / (8c)) stays
-        at or below 0.9^n for n in [1, n_max] (log-space comparison).
+def inequality_checks(c: int, m_max: int) -> InequalityReport:
+    """Decide exactly, for all m >= 2 and n >= 1 (``m_max`` need only be 2):
+    (a) the gap (cm + k)/(1+eps) > cm + (21/22)k, i.e. k(1 - 21 eps) > 22 eps c m.
+        The least k/m with k >= ceil(m/2) is 1/2 (m = 2, k = 1), so it holds for
+        all m and k iff eps < 1/(21 + 44c); checked at 0.1, 0.5 and 0.9 of that.
+    (b) those eps < 1/(2c), the structural-lemma threshold.
+    (c) the union bound: log((4^n - 2^n) e^(-(c-4)^2 n/(8c)) / 0.9^n) is
+        n (log 4 - (c-4)^2/(8c) - log 0.9) + log(1 - 2^-n), whose last term is
+        negative, so it is <= 0 for every n iff the bracket is: from c = 20 on.
     """
     if c < 5:
         raise ValueError("c must be >= 5")
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    threshold = 1.0 / (21 + 44 * c)
-    eps_grid = [0.1 * threshold, 0.5 * threshold, 0.9 * threshold]
-    failures = gap_failures(c, m_max, eps_grid)
-    report = InequalityReport(
-        epsilon_threshold=threshold,
-        gap_holds=not failures,
-        structural_threshold_holds=True,
-        union_bound_holds=True,
-        failures=failures,
+    eps_grid = [(tenths, 10 * (21 + 44 * c)) for tenths in (1, 5, 9)]
+    return InequalityReport(
+        epsilon_threshold=1.0 / (21 + 44 * c),
+        gap_holds=all(gap_holds(c, p, q) for p, q in eps_grid),
+        structural_threshold_holds=all(2 * c * p < q for p, q in eps_grid),
+        union_bound_holds=math.log(4.0) - (c - 4) ** 2 / (8.0 * c) <= math.log(0.9),
     )
-    for eps in eps_grid:
-        if not eps < 1.0 / (2 * c):
-            report.structural_threshold_holds = False
-            report.failures.append(("structural", eps))
-    exponent = (c - 4) ** 2 / (8.0 * c)
-    for n in range(1, n_max + 1):
-        log_lhs = n * math.log(4.0) + math.log1p(-(2.0 ** (-n))) - exponent * n
-        log_rhs = n * math.log(0.9)
-        if log_lhs > log_rhs:
-            report.union_bound_holds = False
-            report.failures.append(("union", n, log_lhs, log_rhs))
-    return report
 
 
 def las_vegas_loop(

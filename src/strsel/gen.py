@@ -14,6 +14,8 @@ def random_max2sat(n: int, m: int, seed: int) -> Max2SatInstance:
     """Random 2-CNF: each clause picks two distinct variables and polarities."""
     if n < 2:
         raise ValueError("need at least two variables to form 2-clauses")
+    # the clauses are Python tuples built one at a time: the subset budget caps them too
+    exact.check_budget("Max-2-SAT generation", f"{m} clauses", m, exact.DEFAULT_SUBSET_BUDGET)
     rng = SplitMix64(seed)
     clauses = []
     for _ in range(m):

@@ -25,16 +25,17 @@ The fixing-string references draw one ``next_bit()`` per block and score
 each trial of a campaign, and each (word, block) pair of the half bound, on
 its own, over every non-canonical word, where ``strsel`` draws the bits of a
 block of trials at once and scores them with one product against the far
-table of n, which holds one row per block class. The gap check
-evaluates every (m, k) pair where ``strsel`` evaluates the two ends of each
-k range. The certificate references at the end build one (index, kind, ref)
-entry per generated string, where a certificate records runs of refs.
+table of n, which holds one row per block class. The gap and union-bound
+checks evaluate every (m, k) pair and every n up to a bound in floats, where
+``strsel`` decides both in closed form for all m and n. The certificate
+references at the end build one (index, kind, ref) entry per generated
+string, where a certificate records runs of refs.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, sqrt
+from math import comb, log, log1p, sqrt
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -393,6 +394,13 @@ def gap_failures(c: int, m_max: int, eps_grid) -> list:
             if len(bad):
                 failures.append(("gap", m, float(k[bad[0]]), eps))
     return failures
+
+
+def union_bound_failures(c: int, n_max: int = 60) -> list:
+    """The n in [1, n_max] at which (4^n - 2^n) exp(-(c-4)^2 n / (8c)) > 0.9^n,
+    compared in logs."""
+    exponent = (c - 4) ** 2 / (8.0 * c)
+    return [n for n in range(1, n_max + 1) if n * log(4.0) + log1p(-(2.0**-n)) - exponent * n > n * log(0.9)]
 
 
 def sat2cms_index_map(phi: Max2SatInstance, c: int) -> tuple:

@@ -118,7 +118,7 @@ def test_criterion_05_lemma_statistical_bound():
 
 
 def test_criterion_06_arithmetic_claims():
-    rep = inequality_checks(20, 10_000, n_max=60)
+    rep = inequality_checks(20, 10_000)
     report(6, "approximation-gap and union-bound arithmetic", rep.passed)
 
 

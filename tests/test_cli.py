@@ -204,6 +204,13 @@ def test_experiment_inequalities(capsys):
     assert as_dict(out)["pass"] == "true"
 
 
+def test_experiment_inequalities_decides_any_m(capsys):
+    status, out = run(capsys, "experiment", "inequalities", "--m", "1000000000")
+    assert status == 0 and as_dict(out)["pass"] == "true"
+    status, out = run(capsys, "experiment", "inequalities", "--c", "19")
+    assert status == 1 and as_dict(out)["union_bound"] == "false"
+
+
 def test_experiment_fixing_lemma(capsys):
     status, out = run(
         capsys, "experiment", "fixing-lemma", "--n", "3", "--m", "3", "--c", "20",
@@ -361,8 +368,8 @@ def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work)
         pytest.param(["solve", "dks", "--k", "999999"], "p edge 1000000 1\ne 1 2\n",
                      "subset enumeration needs C(1000000,999999)*999999 vertex entries, above the budget of 16777216",
                      id="dks entries"),
-        pytest.param(["experiment", "inequalities", "--m", "1000000000"], None,
-                     "the gap sweep needs 1000000000 values of m, above the budget of 16777216", id="inequalities"),
+        pytest.param(["gen-max2sat", "--n", "10", "--m", "1000000000", "--seed", "1", "-o", "out"], None,
+                     "Max-2-SAT generation needs 1000000000 clauses, above the budget of 1048576", id="gen-max2sat"),
     ],
 )
 def test_work_linear_in_a_huge_count_is_refused_at_once(capsys, monkeypatch, tmp_path, argv, text, refusal):

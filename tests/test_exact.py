@@ -311,8 +311,8 @@ BUDGET_SITES = {
     "dks2msfbc symbols": (reductions, "MAX_REDUCTION_SYMBOLS", 48,
                           lambda: reductions.reduce_dks_to_msfbc(random_graph(6, 7, seed=0), 3),
                           "the reduction needs V*(E+1) = 48 symbols, above the budget of 47"),
-    "gap sweep": (experiments, "MAX_GAP_M", 50, lambda: experiments.inequality_checks(20, 50),
-                  "the gap sweep needs 50 values of m, above the budget of 49"),
+    "max2sat clauses": (exact, "DEFAULT_SUBSET_BUDGET", 7, lambda: random_max2sat(3, 7, seed=0),
+                        "Max-2-SAT generation needs 7 clauses, above the budget of 6"),
 }
 
 

@@ -1,5 +1,6 @@
-"""Exhaustive probability-bound checks, the arithmetic inequality grid, and
-the Las-Vegas retry loop, cross-checked against slow pure-Python oracles."""
+"""Exhaustive probability-bound checks, the closed-form arithmetic
+inequalities, and the Las-Vegas retry loop, cross-checked against slow
+pure-Python oracles."""
 
 import itertools
 import math
@@ -17,7 +18,7 @@ from strsel.experiments import (
     all_fixing_words,
     conditional_distance_distribution,
     conditional_half_bound,
-    gap_failures,
+    gap_holds,
     inequality_checks,
     las_vegas_loop,
     lemma_fixing_campaign,
@@ -275,21 +276,23 @@ class TestInequalities:
         assert report.epsilon_threshold == pytest.approx(1 / 901)
 
     def test_passes_for_c20(self):
-        report = inequality_checks(20, 500)
-        assert report.passed
-        assert report.failures == []
+        assert inequality_checks(20, 500).passed
 
     @pytest.mark.parametrize("c", [5, 6, 20, 100])
     def test_gap_ends_match_the_full_grid(self, c):
         threshold = 1 / (21 + 44 * c)
-        # the check holds below the threshold and fails, for some or all m, above it
-        eps_grid = [f * threshold for f in (0.1, 0.5, 0.9, 1.0, 1.01, 1.1, 2.0, 10.0)] + [1 / 21, 0.5]
+        # not at the threshold itself, where the float sweep may round either way
+        eps_grid = [f * threshold for f in (0.1, 0.5, 0.9, 1.01, 1.1, 2.0, 10.0)] + [1 / 21]
         for m_max in (2, 3, 17, 400):
-            # equal k too: for eps > 0 every failing m already fails at k = ceil(m/2)
-            fast = gap_failures(c, m_max, eps_grid)
-            assert fast == ref.gap_failures(c, m_max, eps_grid)
-        assert 0 < len(fast) < 400 * len(eps_grid)
-        assert inequality_checks(c, 400).gap_holds == (not ref.gap_failures(c, 400, eps_grid[:3]))
+            for eps in eps_grid:
+                assert gap_holds(c, *eps.as_integer_ratio()) == (not ref.gap_failures(c, m_max, [eps])), (m_max, eps)
+        assert [gap_holds(c, *eps.as_integer_ratio()) for eps in eps_grid] == [True] * 3 + [False] * 5
+        assert inequality_checks(c, 400).gap_holds
+
+    def test_union_bound_matches_the_per_n_loop(self):
+        for c in range(5, 201):
+            assert inequality_checks(c, 2).union_bound_holds == (not ref.union_bound_failures(c)), c
+        assert ref.union_bound_failures(19) and not ref.union_bound_failures(20)
 
     def test_exponent_identity(self):
         assert (20 - 4) ** 2 / (8 * 20) == pytest.approx(1.6)
