@@ -61,12 +61,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# reduction -> the options it reads besides -f and -o
+REDUCTION_OPTIONS = {"sat2cms": ("c", "seed"), "dks2msfbc": ("k",)}
+
+
 def _cmd_reduce(args) -> int:
+    for name in ("c", "k", "seed"):
+        if getattr(args, name) is not None and name not in REDUCTION_OPTIONS[args.kind]:
+            raise ValueError(f"--{name} does not apply to reduce {args.kind}")
     text = Path(args.file).read_text()
     if args.kind == "sat2cms":
         phi = parse_cnf(text)
         seed, auto = _resolve_seed(args)
-        inst, cert = reductions.reduce_max2sat_to_cms(phi, c=args.c, seed=seed)
+        inst, cert = reductions.reduce_max2sat_to_cms(phi, c=20 if args.c is None else args.c, seed=seed)
         if auto:
             _emit([("seed", seed)])
     else:
@@ -328,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     g = sub.add_parser("reduce", help="run a hardness reduction as an instance generator")
-    g.add_argument("kind", choices=["sat2cms", "dks2msfbc"])
+    g.add_argument("kind", choices=list(REDUCTION_OPTIONS))
     g.add_argument("-f", "--file", required=True)
-    g.add_argument("--c", type=int, default=20)
+    g.add_argument("--c", type=int, help="sat2cms only (default 20)")
     g.add_argument("--k", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("-o", "--output", required=True)

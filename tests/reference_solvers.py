@@ -5,11 +5,12 @@ These are the per-center, per-word loops that ``strsel.exact`` and
 climbing that re-scores each neighbour ``Word`` of one restart at a time,
 where ``strsel.heuristics`` climbs blocks of restarts in lockstep on
 incremental distance arrays, the MSFBC combination loop that
-``strsel.exact`` replaced with a table over all subsets, the MSFBC
-column-set loop with generator-built group keys, and the DkS and Max-2-SAT
-loops over ``itertools`` that ``strsel.exact`` replaced with numpy blocks,
-scored one subset or assignment at a time by ``Graph.induced_edge_count`` and
-``Max2SatInstance.satisfied_count``. They are kept here, built only on
+``strsel.exact`` replaced with a table over all subsets, the pure-Python
+MSFBC column-set loop, one generator-built group key per word, that
+``strsel.exact`` replaced with sorted numpy keys over blocks of column sets,
+and the DkS and Max-2-SAT loops over ``itertools`` that ``strsel.exact``
+replaced with numpy blocks, scored one subset or assignment at a time by
+``Graph.induced_edge_count`` and ``Max2SatInstance.satisfied_count``. They are kept here, built only on
 ``Word``, ``hamming``, ``bad_columns`` and those two methods, as the
 differential oracle for the fast paths: those must return equal results,
 ``CenterResult`` and ``SubsetResult`` values and (answer, count) pairs,

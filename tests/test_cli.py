@@ -127,6 +127,22 @@ def test_sat2cms_over_row_budget_exits_before_drawing(capsys, tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, option",
+    [("dks2msfbc", ["--seed", "5"]), ("dks2msfbc", ["--c", "3"]), ("sat2cms", ["--k", "3"])],
+)
+def test_reduce_refuses_an_option_the_reduction_does_not_read(capsys, tmp_path, graph_file, kind, option):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    source = graph_file if kind == "dks2msfbc" else str(cnf)
+    k = ["--k", "2"] if kind == "dks2msfbc" else ["--seed", "7"]
+    status = main(["reduce", kind, "-f", source, *k, *option, "-o", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {option[0]} does not apply to reduce {kind}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_dks2msfbc(capsys, tmp_path, graph_file):
     outdir = tmp_path / "out"
     status, _ = run(capsys, "reduce", "dks2msfbc", "-f", graph_file, "--k", "2", "-o", str(outdir))
@@ -370,6 +386,10 @@ def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work)
                      id="dks entries"),
         pytest.param(["gen-max2sat", "--n", "10", "--m", "1000000000", "--seed", "1", "-o", "out"], None,
                      "Max-2-SAT generation needs 1000000000 clauses, above the budget of 1048576", id="gen-max2sat"),
+        # 2^24 assignments pass the assignment budget; testing 512 clauses on each does not
+        pytest.param(["solve", "max2sat"], "p cnf 24 512\n" + "1 -2 0\n" * 512,
+                     "assignment enumeration needs 2^24*512 clause tests, above the budget of 4294967296",
+                     id="max2sat clause tests"),
     ],
 )
 def test_work_linear_in_a_huge_count_is_refused_at_once(capsys, monkeypatch, tmp_path, argv, text, refusal):

@@ -293,6 +293,9 @@ BUDGET_SITES = {
     # the constant is an exponent: one below it is a budget of 2^2 assignments
     "max2sat": (exact, "DEFAULT_ASSIGNMENT_VARS", 3, lambda: solve_max2sat_exact(random_max2sat(3, 4, seed=0)),
                 "assignment enumeration needs 2^3 assignments, above the budget of 4"),
+    "max2sat clause tests": (exact, "DEFAULT_CLAUSE_TESTS", 2**3 * 4,
+                             lambda: solve_max2sat_exact(random_max2sat(3, 4, seed=0)),
+                             "assignment enumeration needs 2^3*4 clause tests, above the budget of 31"),
     "dks": (exact, "DEFAULT_SUBSET_BUDGET", 20, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),
             "subset enumeration needs C(6,3) subsets, above the budget of 19"),
     "dks entries": (exact, "DEFAULT_ENUM_BUDGET", 60, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),

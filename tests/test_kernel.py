@@ -15,6 +15,7 @@ from strsel import exact
 from strsel.cli import main
 from strsel.exact import (
     BudgetExceededError,
+    SubsetResult,
     center_block,
     distances,
     field_bits,
@@ -32,7 +33,15 @@ from strsel.fpt import epsilon_for, synthetic_inflating_oracle
 from strsel.formats import serialize_strings_instance
 from strsel.gen import random_graph, random_max2sat, random_string_set
 from strsel.heuristics import SearchConfig, local_search_cms, local_search_ffms
-from strsel.reductions import Graph, Literal, Max2SatInstance, reduce_dks_to_msfbc, reduce_max2sat_to_cms
+from strsel.reductions import (
+    ClaimReport,
+    Graph,
+    Literal,
+    Max2SatInstance,
+    reduce_dks_to_msfbc,
+    reduce_max2sat_to_cms,
+    verify_claim_optval,
+)
 from strsel.words import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet, Word, hamming
 
 # longest words per alphabet that keep the reference solvers fast
@@ -305,13 +314,71 @@ def test_msfbc_subset_table_matches_reference(sset):
 
 
 @settings(max_examples=150, deadline=None)
-@given(msfbc_sets(cells=24, sigmas=(2, 3, 4, 36)))
-def test_msfbc_columns_solver_matches_reference(sset):
+@given(msfbc_sets(cells=24, sigmas=(2, 3, 4, 36)), st.sampled_from(BLOCK_ELEMENTS))
+def test_msfbc_columns_solver_matches_reference(sset, block):
     # k = 0 keeps every column; k = l keeps none, so every word falls into one group
     for k in range(sset.length + 1):
         inst = MsfbcInstance(sset, k)
-        res = solve_msfbc_columns(inst)
+        with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
+            res = solve_msfbc_columns(inst)
         assert res == ref.solve_msfbc_columns(inst) == solve_msfbc_subsets(inst)
+
+
+def assert_msfbc_columns_match(sset, ks):
+    """The columns solver, at every block size, against the reference and the
+    subset table, for each k of ``ks``."""
+    for k in ks:
+        inst = MsfbcInstance(sset, k)
+        expected = ref.solve_msfbc_columns(inst)
+        assert solve_msfbc_subsets(inst) == expected, k
+        for block in BLOCK_ELEMENTS:
+            with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
+                assert solve_msfbc_columns(inst) == expected, (k, block)
+
+
+@pytest.mark.parametrize(
+    "sigma, length", [(2, 61), (2, 64), (36, 10), (2, 65), (2, 72), (2, 80), (36, 11), (36, 12), (36, 14)]
+)
+def test_msfbc_columns_solver_on_full_and_wide_words(sigma, length):
+    # 60 to 64 bits per word leave too few zero bits for the 4-bit index of
+    # nine words; 65 to 84 bits take two limbs. Nine picks of five variants of
+    # one base word: the base, the base with its last column (in the last
+    # limb) changed, the base with column 0 changed, and two with up to three
+    # random columns changed; groups of one size then tie across column sets.
+    rng = np.random.default_rng(length)
+    variants = np.tile(rng.integers(0, sigma, length), (5, 1))
+    variants[1, -1] = (variants[1, -1] + 1) % sigma
+    variants[2, 0] = (variants[2, 0] + 1) % sigma
+    for v in (3, 4):
+        columns = rng.choice(length, size=rng.integers(1, 4), replace=False)
+        variants[v, columns] = rng.integers(0, sigma, len(columns))
+    rows = variants[[0, 1, 3, 0, 2, 1, 4, 0, 2]]
+    sset = StringSet.from_words([Word(r.tolist(), Alphabet(sigma)) for r in rows])
+    assert_msfbc_columns_match(sset, (0, 1, 2, length - 1, length))
+
+
+@pytest.mark.parametrize("sigma, length", [(2, 1), (2, 64), (2, 65), (36, 10), (36, 11)])
+def test_msfbc_columns_solver_on_one_word(sigma, length):
+    sset = StringSet.from_words([Word([sigma - 1] * length, Alphabet(sigma))])
+    assert_msfbc_columns_match(sset, sorted({0, 1, length}))
+    assert solve_msfbc_columns(MsfbcInstance(sset, 1)) == SubsetResult((0,), 0)
+
+
+def test_msfbc_columns_tie_goes_to_the_first_index_list_over_all_column_sets():
+    # k = 1. J = {0} groups words (0, 2) and (1, 3), J = {1} none, and J = {2}
+    # groups (0, 1) and (2, 3): the first index list comes from the last J, in
+    # a later block than (0, 2) whenever a block holds one or two column sets
+    sset = StringSet.from_texts(["000", "001", "100", "101"])
+    assert_msfbc_columns_match(sset, (1,))
+    assert solve_msfbc_columns(MsfbcInstance(sset, 1)) == SubsetResult((0, 1), 1)
+
+
+def test_claim_optval_past_the_subset_table():
+    # 61 strings: 2^61 subsets are past the table's budget, so the check runs
+    # the columns solver over all C(40, 5) = 658,008 column sets
+    with mock.patch.object(exact, "solve_msfbc_subsets", None):
+        report = verify_claim_optval(random_graph(40, 60, seed=1), 5)
+    assert report == ClaimReport(alpha=7, beta=8, passed=True)
 
 
 def test_msfbc_subset_table_at_full_budget():
