@@ -7,16 +7,18 @@ index list), which makes every solver deterministic.
 
 Every solver reads a string set through :func:`symbol_matrix`, an (n, l)
 ``uint8`` view of its row buffer, or :func:`packed`, one unsigned integer
-per word with ceil(log2 sigma) bits per symbol. The center solvers (CMS,
-FFMS, CkS) share one block iterator over consecutive lexicographic center
-indices and one numpy distance kernel, :func:`distances`, the same for every
-alphabet. CMS and FFMS take each block's best count; CkS decides radii by
-coverage counts, since a center's radius is at most r exactly when k words
-lie within r of it, and skips every block that cannot beat its incumbent.
-A :class:`Word` is built only for the winning center. ``--recheck``,
-:func:`words.hamming`, :func:`words.coverage` and :func:`words.anticoverage`
-stay per-word Python, so they re-score that winner on an independent path.
-numpy stays out of :mod:`words`, so that ``import strsel`` does not load it.
+per word with ceil(log2 sigma) bits per symbol. Candidates come in ``(ids,
+values)`` blocks, ``values[i]`` the score of ``ids[i]``, and one loop,
+:func:`_first_max`, picks the first maximum of CMS, FFMS, DkS and Max-2-SAT.
+CMS, FFMS and CkS take their index blocks and scorer, the numpy distance
+kernel :func:`distances` for every alphabet, from :func:`_center_blocks`.
+CkS decides radii by coverage counts, since a center's radius is at most r
+exactly when k words lie within r of it, and skips every block that cannot
+beat its incumbent. A :class:`Word` is built only for the winning center.
+``--recheck``, :func:`words.hamming`, :func:`words.coverage` and
+:func:`words.anticoverage` stay per-word Python, so they re-score that
+winner on an independent path. numpy stays out of :mod:`words`, so that
+``import strsel`` does not load it.
 
 MSFBC has two solvers: :func:`solve_msfbc_subsets` fills one numpy table over
 all subsets, and :func:`solve_msfbc_columns` sorts the words' keys under
@@ -114,13 +116,13 @@ def block_rows(words: np.ndarray, buffers: int = 1) -> int:
     return max(1, _BLOCK_ELEMENTS // (buffers * words.nbytes))
 
 
-def center_block(alphabet: Alphabet, length: int, lo: int, hi: int) -> np.ndarray:
-    """The packed words with lexicographic indices ``lo`` .. ``hi - 1``: the
-    indices themselves when sigma is a power of two, else their base-sigma
-    digits re-packed into fields."""
+def center_block(alphabet: Alphabet, length: int, ids: range) -> np.ndarray:
+    """The packed words with the lexicographic indices of the range ``ids``:
+    the indices themselves when sigma is a power of two, else their
+    base-sigma digits re-packed into fields."""
     bits = field_bits(alphabet)
     dtype = _bits_dtype(length * bits)
-    index = np.arange(lo, hi, dtype=dtype)
+    index = np.arange(ids.start, ids.stop, ids.step, dtype=dtype)
     if alphabet.size == 1 << bits:
         return index
     words = np.zeros_like(index)
@@ -151,11 +153,10 @@ def distances(centers: np.ndarray, words: np.ndarray, bits: int) -> np.ndarray:
     return np.bitwise_count(diff).T
 
 
-def _center_blocks(sset: StringSet, start: int = 0):
-    """Yield ``(lo, dist)`` for consecutive blocks of all centers in
-    lexicographic order, where ``dist`` is the block's :func:`distances`
-    array and ``lo`` the index of its first center. The blocks start at
-    ``start``, which is 0 or the ``lo`` of an earlier call's block."""
+def _center_blocks(sset: StringSet) -> tuple:
+    """``(blocks, score)``: all centers in lexicographic order as ranges of
+    consecutive indices, made as they are read, and the scorer that maps a
+    block's ``ids`` to its :func:`distances` array."""
     sigma, length = sset.alphabet.size, sset.length
     check_budget("center enumeration", f"{sigma}^{length} words", ("^", sigma, length), DEFAULT_ENUM_BUDGET)
     words = packed(sset)
@@ -163,21 +164,20 @@ def _center_blocks(sset: StringSet, start: int = 0):
     total = sigma**length
     # folding fields of more than one bit takes a second word-sized buffer
     step = block_rows(words, 1 + (bits > 1))
-    for lo in range(start, total, step):
-        yield lo, distances(center_block(sset.alphabet, length, lo, min(lo + step, total)), words, bits)
+    blocks = (range(lo, min(lo + step, total)) for lo in range(0, total, step))
+    return blocks, lambda ids: distances(center_block(sset.alphabet, length, ids), words, bits)
 
 
-def _best_center(sset: StringSet, score) -> tuple:
-    """(index, score) of the first center in lexicographic order with the
-    largest ``score(dist)``: first maximum within a block, strictly larger
-    across."""
-    best_index, best_value = 0, None
-    for lo, dist in _center_blocks(sset):
-        values = score(dist)
+def _first_max(blocks) -> tuple:
+    """``(id, value)`` of the first maximum over ``(ids, values)`` blocks,
+    where ``values[i]`` scores the candidate ``ids[i]``: first maximum within
+    a block, strictly larger across, so the earliest candidate wins ties."""
+    best_id, best = None, None
+    for ids, values in blocks:
         i = int(np.argmax(values))
-        if best_value is None or values[i] > best_value:
-            best_index, best_value = lo + i, int(values[i])
-    return best_index, best_value
+        if best is None or values[i] > best:
+            best_id, best = ids[i], int(values[i])
+    return best_id, best
 
 
 def coverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
@@ -194,34 +194,33 @@ def anticoverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
 
 def solve_cms_exact(inst: CmsInstance) -> CenterResult:
     """Maximize coverage over all possible centers."""
-    index, value = _best_center(inst.set, lambda dist: coverage_counts(dist, inst.d))
+    blocks, score = _center_blocks(inst.set)
+    index, value = _first_max((ids, coverage_counts(score(ids), inst.d)) for ids in blocks)
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
 def solve_ffms_exact(inst: FfmsInstance) -> CenterResult:
     """Maximize anticoverage over all possible centers."""
-    index, value = _best_center(inst.set, lambda dist: anticoverage_counts(dist, inst.d))
+    blocks, score = _center_blocks(inst.set)
+    index, value = _first_max((ids, anticoverage_counts(score(ids), inst.d)) for ids in blocks)
     return CenterResult(center=Word.from_index(index, inst.set.length, inst.set.alphabet), value=value)
 
 
-def _cks_result(inst: CksInstance, index: int) -> CenterResult:
-    """The center with lexicographic index ``index`` and its k nearest
-    strings, ties to the lowest index."""
-    sset = inst.set
-    center = center_block(sset.alphabet, sset.length, index, index + 1)
-    dist = distances(center, packed(sset), field_bits(sset.alphabet))[0]
+def _cks_result(inst: CksInstance, index: int, dist: np.ndarray) -> CenterResult:
+    """The center with lexicographic index ``index``, whose distances to the
+    words are ``dist``, and its k nearest strings, ties to the lowest index."""
     nearest = np.argsort(dist, kind="stable")[: inst.k]
     return CenterResult(
-        center=Word.from_index(index, sset.length, sset.alphabet),
+        center=Word.from_index(index, inst.set.length, inst.set.alphabet),
         value=int(dist[nearest[-1]]),
         chosen_subset=tuple(sorted(int(i) for i in nearest)),
     )
 
 
-def _cks_optimum(blocks, k: int, length: int) -> tuple:
-    """(index, radius) of the first center in lexicographic order with the
-    smallest CkS radius, its k-th smallest distance, over the
-    :func:`_center_blocks` of a string set of words of ``length`` symbols.
+def _cks_optimum(inst: CksInstance, blocks) -> CenterResult:
+    """The :func:`_cks_result` of the first center in lexicographic order
+    with the smallest CkS radius, its k-th smallest distance, over ``(ids,
+    dist)`` blocks of all centers.
 
     A center's radius is at most r exactly when it covers k words within r,
     so a block is scored only if some center covers k words within the
@@ -229,8 +228,8 @@ def _cks_optimum(blocks, k: int, length: int) -> tuple:
     binary search below that, its first center at that radius wins, and a
     radius of 0 ends the search.
     """
-    best_index, best = 0, length + 1
-    for lo, dist in blocks:
+    k, length, best = inst.k, inst.set.length, inst.set.length + 1
+    for ids, dist in blocks:
         # no pass at best - 1 = length: every center covers all words within it
         hits = coverage_counts(dist, best - 1) >= k if best <= length else np.ones(len(dist), dtype=bool)
         if not hits.any():
@@ -243,16 +242,19 @@ def _cks_optimum(blocks, k: int, length: int) -> tuple:
                 hits, best = within, mid
             else:
                 low = mid + 1
-        best_index = lo + int(hits.argmax())
+        i = int(hits.argmax())
+        # a copy, so that this block's distances are freed before the next block is scored
+        index, row = ids[i], dist[i].copy()
         if best == 0:
             break
-    return best_index, best
+    return _cks_result(inst, index, row)
 
 
 def solve_cks_exact(inst: CksInstance) -> CenterResult:
     """Minimize the k-th smallest distance over all possible centers. With
     k = n this is the classic Closest String problem."""
-    return _cks_result(inst, _cks_optimum(_center_blocks(inst.set), inst.k, inst.set.length)[0])
+    blocks, score = _center_blocks(inst.set)
+    return _cks_optimum(inst, ((ids, score(ids)) for ids in blocks))
 
 
 def solve_msfbc_subsets(inst: MsfbcInstance) -> SubsetResult:
@@ -307,16 +309,15 @@ def solve_msfbc_columns(inst: MsfbcInstance) -> SubsetResult:
     ell, n = inst.set.length, inst.set.size
     j_size = min(inst.k, ell)
     check_budget("column enumeration", f"C({ell},{j_size}) column sets", ("C", ell, j_size), DEFAULT_SUBSET_BUDGET)
-    # `per` fields per limb, column 0 most significant; row j of `fields` is column j's field
+    # `per` fields per limb, column 0 most significant: column j is field `fields[j % per]` of limb j // per
     bits = field_bits(inst.set.alphabet)
     per = 64 // bits
     shifts = np.arange(per - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+    fields = np.uint64((1 << bits) - 1) << shifts
     words = np.empty((n, -(-ell // per)), dtype=np.uint64)
-    fields = np.zeros((ell, words.shape[1]), dtype=np.uint64)
     for limb in range(words.shape[1]):
         columns = symbol_matrix(inst.set)[:, limb * per : (limb + 1) * per]
         words[:, limb] = np.bitwise_or.reduce(columns << shifts[: columns.shape[1]], axis=1)
-        fields[limb * per : (limb + 1) * per, limb] = np.uint64((1 << bits) - 1) << shifts[: columns.shape[1]]
     # the word index rides in the zero low bits of a one-limb word where it fits, so that one
     # sort orders each J's keys and, within a run of equal keys, their word indices
     index_bits = (n - 1).bit_length()
@@ -324,15 +325,17 @@ def solve_msfbc_columns(inst: MsfbcInstance) -> SubsetResult:
     low = np.uint64((1 << index_bits) - 1)
     # a block's widest buffers: the keys, their sort order, the sorted keys and the XOR of sorted
     # neighbours, or the fields of its column sets when k is near l
-    step = max(1, _BLOCK_ELEMENTS // max(4 * words.nbytes, fields[:j_size].nbytes))
+    step = max(1, _BLOCK_ELEMENTS // max(4 * words.nbytes, j_size * words[0].nbytes))
     total = comb(ell, j_size)
-    combos = itertools.combinations(range(ell), j_size)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(ell), j_size))
     position = np.arange(n, dtype=np.min_scalar_type(n))
     best_size, best = 0, ()
     for lo in range(0, total, step):
         count = min(step, total - lo)
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, count)), np.intp, count * j_size)
-        keys = words & (~np.uint64(0) ^ np.bitwise_or.reduce(fields[flat.reshape(count, j_size)], axis=1))[:, None]
+        sets = np.fromiter(combos, np.intp, count * j_size).reshape(count, j_size)
+        masks = np.zeros((count, j_size, words.shape[1]), dtype=np.uint64)
+        masks[np.arange(count)[:, None], np.arange(j_size), sets // per] = fields[sets % per]
+        keys = words & ~np.bitwise_or.reduce(masks, axis=1)[:, None]
         if inline:
             ordered = keys | np.arange(n, dtype=np.uint64)[:, None]
             # the keys are distinct, so any sort will do; the stable one pages in less of numpy's
@@ -372,8 +375,8 @@ def solve_max2sat_exact(phi):
     ``itertools.product((False, True), repeat=n)`` order. A clause is false
     exactly when a, masked to the bits of its variables, equals the bits that
     make both its literals false. Blocks of indices are scored at once by
-    their false clauses; the first minimum wins within a block, a strictly
-    smaller count across blocks.
+    their satisfied clauses, m minus the false ones, and the first maximum
+    wins (:func:`_first_max`).
     """
     n = phi.variable_count
     check_budget("assignment enumeration", f"2^{n} assignments", ("^", 2, n), 2**DEFAULT_ASSIGNMENT_VARS)
@@ -387,16 +390,10 @@ def solve_max2sat_exact(phi):
         mask.append(x | y)
         false.append((not a.positive) * x | (not b.positive) * y)
     mask, false = np.array(mask, dtype=dtype), np.array(false, dtype=dtype)
-    total = 1 << n
     step = max(1, _BLOCK_ELEMENTS // m)
-    best_index, best_false = 0, m + 1
-    for lo in range(0, total, step):
-        index = np.arange(lo, min(lo + step, total), dtype=dtype)
-        false_counts = (index[:, None] & mask == false).sum(axis=1)
-        i = int(false_counts.argmin())
-        if false_counts[i] < best_false:
-            best_index, best_false = lo + i, int(false_counts[i])
-    return tuple(bool(best_index >> n - v & 1) for v in range(1, n + 1)), m - best_false
+    blocks = (np.arange(lo, min(lo + step, 1 << n), dtype=dtype) for lo in range(0, 1 << n, step))
+    best_index, best = _first_max((ids, m - (ids[:, None] & mask == false).sum(axis=1)) for ids in blocks)
+    return tuple(bool(int(best_index) >> n - v & 1) for v in range(1, n + 1)), best
 
 
 def solve_dks_exact(graph, k: int):
@@ -407,29 +404,28 @@ def solve_dks_exact(graph, k: int):
     k-subsets come in ``itertools.combinations`` order, a block at a time.
     Each block is scored at once through a membership matrix with one column
     per vertex that touches an edge and one spare column for all the others.
-    The first maximum wins within a block, a strictly larger count across
-    blocks, so the lexicographically smallest densest subset wins.
+    The first maximum wins (:func:`_first_max`), so the lexicographically
+    smallest densest subset wins.
     """
     graph.check_k(k)
     v = graph.vertex_count
     check_budget("subset enumeration", f"C({v},{k}) subsets", ("C", v, k), DEFAULT_SUBSET_BUDGET)
+    total = comb(v, k)
     # each subset is built as k vertex entries
-    check_budget("subset enumeration", f"C({v},{k})*{k} vertex entries", comb(v, k) * k, DEFAULT_ENUM_BUDGET)
+    check_budget("subset enumeration", f"C({v},{k})*{k} vertex entries", total * k, DEFAULT_ENUM_BUDGET)
     touched = sorted({x for edge in graph.edges for x in edge})
     column = np.full(v + 1, len(touched), dtype=np.intp)
     column[touched] = np.arange(len(touched))
     ends = column[np.array(graph.edges, dtype=np.intp).reshape(-1, 2)]
     step = max(1, _BLOCK_ELEMENTS // max(k, len(touched) + 1, len(ends)))
-    combos = itertools.combinations(range(1, v + 1), k)
-    best, best_count = None, -1
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, step)), dtype=np.intp)
-        if not flat.size:
-            return best, best_count
-        block = flat.reshape(-1, k)
-        member = np.zeros((len(block), len(touched) + 1), dtype=bool)
-        member[np.arange(len(block))[:, None], column[block]] = True
-        counts = (member[:, ends[:, 0]] & member[:, ends[:, 1]]).sum(axis=1)
-        i = int(np.argmax(counts))
-        if counts[i] > best_count:
-            best, best_count = tuple(block[i].tolist()), int(counts[i])
+    combos = itertools.chain.from_iterable(itertools.combinations(range(1, v + 1), k))
+
+    def blocks():
+        for lo in range(0, total, step):
+            rows = np.fromiter(combos, np.intp, min(step, total - lo) * k).reshape(-1, k)
+            member = np.zeros((len(rows), len(touched) + 1), dtype=bool)
+            member[np.arange(len(rows))[:, None], column[rows]] = True
+            yield rows, (member[:, ends[:, 0]] & member[:, ends[:, 1]]).sum(axis=1)
+
+    best, count = _first_max(blocks())
+    return tuple(best.tolist()), count

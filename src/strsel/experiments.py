@@ -216,6 +216,9 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     if trials < 0:
         raise ValueError(f"--trials must be at least 0, got {trials}")
     _check_trial(n, m, c)
+    # each trial draws c*m fixing strings of n bits
+    work = f"{trials}*{c}*{m}*{n} fixing draws"
+    exact.check_budget("fixing campaign", work, trials * c * m * n, exact.DEFAULT_CLAUSE_TESTS)
     report = TrialReport(trials=trials)
     if trials == 0:
         return report

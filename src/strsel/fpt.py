@@ -16,15 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import (
-    CenterResult,
-    _center_blocks,
-    _cks_optimum,
-    _cks_result,
-    coverage_counts,
-    solve_cks_exact,
-    symbol_matrix,
-)
+from . import exact
+from .exact import CenterResult, coverage_counts, solve_cks_exact, symbol_matrix
 from .rng import SplitMix64
 from .words import CksInstance, hamming
 
@@ -85,34 +78,33 @@ def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> 
     The drawn solution is uniform over the centers attaining the drawn
     radius (or d_opt, if none does), in lexicographic order. d_opt comes
     from the pruned CkS search; the candidates are counted block by block,
-    and only the block that holds the drawn one is scored again. The first
-    block's distances are kept for every pass, so that a string set whose
-    centers fit one block is scored once."""
-    first = next(_center_blocks(inst.set))
-    more = len(first[1]) < inst.set.alphabet.size**inst.set.length
+    and only the block that holds the drawn one is scored again. Block 0's
+    distances are kept for every pass and the scorer is called for the
+    others, so a string set whose centers fit one block is scored once."""
+    blocks, score = exact._center_blocks(inst.set)
+    blocks = list(blocks)  # read by every pass; one range per block, as the counts keep one count
+    first = score(blocks[0])
 
-    def blocks(start=0):
-        if start == 0:
-            yield first
-        if more:
-            yield from _center_blocks(inst.set, max(start, len(first[1])))
+    def kept(ids):
+        return first if ids is blocks[0] else score(ids)
 
-    d_opt = _cks_optimum(blocks(), inst.k, inst.set.length)[1]
+    d_opt = exact._cks_optimum(inst, zip(blocks, map(kept, blocks))).value
     hi = int((1 + eps) * d_opt)
     rng = SplitMix64(seed)
     target = d_opt + rng.next_below(hi - d_opt + 1) if hi > d_opt else d_opt
     # the centers of d_opt are drawn from when none has the drawn radius
     for radius in dict.fromkeys((target, d_opt)):
-        counts = {lo: int(_at_radius(dist, inst.k, radius, d_opt).sum()) for lo, dist in blocks()}
+        counts = {ids: int(_at_radius(kept(ids), inst.k, radius, d_opt).sum()) for ids in blocks}
         if any(counts.values()):
             break
     index = rng.next_below(sum(counts.values()))
-    for lo, count in counts.items():
+    for ids, count in counts.items():
         if index < count:
             break
         index -= count
-    _, dist = next(blocks(lo))
-    return _cks_result(inst, lo + int(np.flatnonzero(_at_radius(dist, inst.k, radius, d_opt))[index]))
+    dist = kept(ids)
+    i = int(np.flatnonzero(_at_radius(dist, inst.k, radius, d_opt))[index])
+    return exact._cks_result(inst, ids[i], dist[i])
 
 
 def make_inflating_oracle(seed: int) -> ApproxOracle:

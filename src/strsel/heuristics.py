@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import exact
 from .exact import CenterResult, anticoverage_counts, block_rows, coverage_counts, symbol_matrix
 from .rng import SplitMix64, derive_seed
 from .words import CmsInstance, FfmsInstance, StringSet, Word, anticoverage, coverage
@@ -94,6 +95,9 @@ def _climb(words_t: np.ndarray, sigma: int, score, centers: np.ndarray, max_iter
 
 
 def _local_search(sset: StringSet, score, rescore, cfg: SearchConfig) -> CenterResult:
+    # each restart climbs on one mismatch cell per (position, word) pair
+    work = f"{cfg.restarts}*{sset.length}*{sset.size} mismatch cells"
+    exact.check_budget("hill climbing", work, cfg.restarts * sset.length * sset.size, exact.DEFAULT_CLAUSE_TESTS)
     words_t = np.ascontiguousarray(symbol_matrix(sset).T)
     step = block_rows(words_t)
     best = None

@@ -390,6 +390,14 @@ def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work)
         pytest.param(["solve", "max2sat"], "p cnf 24 512\n" + "1 -2 0\n" * 512,
                      "assignment enumeration needs 2^24*512 clause tests, above the budget of 4294967296",
                      id="max2sat clause tests"),
+        pytest.param(["solve", "cms", "--algo", "local", "--restarts", "1000000000000", "--seed", "1"],
+                     "strings 2 4 3\nparam d 1\n0000\n0110\n1111\n",
+                     "hill climbing needs 1000000000000*4*3 mismatch cells, above the budget of 4294967296",
+                     id="local restarts"),
+        pytest.param(["experiment", "fixing-lemma", "--n", "8", "--m", "8", "--c", "20", "--trials", "1000000000000",
+                      "--seed", "1"], None,
+                     "fixing campaign needs 1000000000000*20*8*8 fixing draws, above the budget of 4294967296",
+                     id="fixing-lemma trials"),
     ],
 )
 def test_work_linear_in_a_huge_count_is_refused_at_once(capsys, monkeypatch, tmp_path, argv, text, refusal):

@@ -32,6 +32,7 @@ from strsel.exact import (
     solve_msfbc_subsets,
 )
 from strsel.gen import random_graph, random_max2sat, random_string_set
+from strsel.heuristics import SearchConfig, local_search_cms
 from strsel.reductions import Graph, Literal
 
 from reference_solvers import enumerate_words
@@ -316,6 +317,12 @@ BUDGET_SITES = {
                           "the reduction needs V*(E+1) = 48 symbols, above the budget of 47"),
     "max2sat clauses": (exact, "DEFAULT_SUBSET_BUDGET", 7, lambda: random_max2sat(3, 7, seed=0),
                         "Max-2-SAT generation needs 7 clauses, above the budget of 6"),
+    "local restarts": (exact, "DEFAULT_CLAUSE_TESTS", 2 * 4 * 3,
+                       lambda: local_search_cms(CmsInstance(sset("0000", "0110", "1111"), 1), SearchConfig(restarts=2)),
+                       "hill climbing needs 2*4*3 mismatch cells, above the budget of 23"),
+    "fixing draws": (exact, "DEFAULT_CLAUSE_TESTS", 2 * 2 * 3 * 3,
+                     lambda: experiments.lemma_fixing_campaign(3, 3, 2, trials=2, seed=0),
+                     "fixing campaign needs 2*2*3*3 fixing draws, above the budget of 35"),
 }
 
 

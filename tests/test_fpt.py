@@ -76,19 +76,20 @@ def test_inflating_oracle_falls_back_to_d_opt_when_no_center_has_the_drawn_radiu
 @pytest.mark.parametrize("elements", [1, 64, 1 << 20])
 def test_inflating_oracle_scores_again_only_the_block_of_the_drawn_center(monkeypatch, elements):
     inst = CksInstance(random_string_set(2, 8, 6, seed=4), k=3)
-    blocks = exact._center_blocks
+    scorer = exact.distances
     calls = []
 
-    def recording(sset, start=0):
-        calls.append([start, 0])
-        for item in blocks(sset, start):
-            calls[-1][1] += 1
-            yield item
+    def recording(centers, words, bits):
+        # a binary center packs to its own lexicographic index, so each call
+        # records the index block it scores as [first index, block size]
+        calls.append([int(centers[0]), len(centers)])
+        return scorer(centers, words, bits)
 
     monkeypatch.setattr(exact, "_BLOCK_ELEMENTS", elements)
-    monkeypatch.setattr(fpt, "_center_blocks", recording)
+    monkeypatch.setattr(exact, "distances", recording)
     step = min(256, exact.block_rows(exact.packed(inst.set)))
     assert step == {1: 1, 64: 10, 1 << 20: 256}[elements]
+    others = [[lo, min(step, 256 - lo)] for lo in range(step, 256, step)]
     later = 0
     for seed in range(40):
         calls.clear()
@@ -97,14 +98,16 @@ def test_inflating_oracle_scores_again_only_the_block_of_the_drawn_center(monkey
         # the first block is scored once and kept; every pass scores the
         # others, and then the drawn center's block is scored again
         if step == 256:
-            assert calls == [[0, 1]]
+            assert calls == [[0, 256]]
             continue
-        assert calls[0] == [0, 1]
+        assert calls[0] == [0, step]
         passes = calls[1:] if res.center.bits < step else calls[1:-1]
-        assert passes[:2] == [[step, -(-256 // step) - 1]] * 2
+        assert passes[: 2 * len(others)] == others * 2
+        # whole passes only: d_opt, the drawn radius and at most one fallback to d_opt
+        assert passes == others * (len(passes) // len(others)) and len(passes) // len(others) in (2, 3)
         if res.center.bits >= step:
             start, scored = calls[-1]
-            assert scored == 1 and start <= res.center.bits < start + step
+            assert [start, scored] in others and start <= res.center.bits < start + step
             later += 1
     assert later > 0 or step == 256
 

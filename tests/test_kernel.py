@@ -3,6 +3,7 @@ on it, the two MSFBC solvers, and the block-scored DkS and Max-2-SAT solvers,
 checked against the pure-Python reference solvers in ``reference_solvers``."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -92,24 +93,30 @@ def test_inflating_oracle_matches_reference(sset, block, seeds, eps, data):
 
 
 def _solve_cks_counting_passes(inst):
-    """``solve_cks_exact(inst)`` and the number of coverage passes it makes
-    on each block it is given."""
-    passes = []
-    blocks, counts = exact._center_blocks, exact.coverage_counts
+    """``solve_cks_exact(inst)``, the index blocks it scores with one
+    ``distances`` call each, and the number of coverage passes it makes on
+    each of them."""
+    blocks, passes = [], []
+    block, kernel, counts = exact.center_block, exact.distances, exact.coverage_counts
 
-    def counting_blocks(sset):
-        for item in blocks(sset):
-            passes.append(0)
-            yield item
+    def recording_block(alphabet, length, ids):
+        blocks.append(ids)
+        return block(alphabet, length, ids)
+
+    def counting_kernel(centers, words, bits):
+        passes.append(0)
+        return kernel(centers, words, bits)
 
     def counting(dist, d):
         passes[-1] += 1
         return counts(dist, d)
 
-    with mock.patch.object(exact, "_center_blocks", counting_blocks), mock.patch.object(
-        exact, "coverage_counts", counting
-    ):
-        return solve_cks_exact(inst), passes
+    with mock.patch.object(exact, "center_block", recording_block), mock.patch.object(
+        exact, "distances", counting_kernel
+    ), mock.patch.object(exact, "coverage_counts", counting):
+        result = solve_cks_exact(inst)
+    assert len(blocks) == len(passes)
+    return result, blocks, passes
 
 
 @pytest.mark.parametrize("sigma, length, n", [(2, 14, 40), (3, 9, 30)])
@@ -125,12 +132,14 @@ def test_cks_and_oracle_match_the_sort_scorer_at_mid_size(sigma, length, n, bloc
     with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
         for inst in cases:
             expected = ref.solve_cks_by_sort(inst)
-            result, passes = _solve_cks_counting_passes(inst)
+            result, blocks, passes = _solve_cks_counting_passes(inst)
             assert result == expected
+            # consecutive index blocks from the first center on
+            assert [i for ids in blocks for i in ids] == list(range(blocks[-1][-1] + 1))
             if inst.set is repeated:
                 assert result.center == late and result.value == 0
                 # the search stopped at radius 0, before the last block
-                assert len(passes) < len(list(exact._center_blocks(inst.set)))
+                assert blocks[-1][-1] < inst.set.alphabet.size ** inst.set.length - 1
             if expected.value > 0:
                 # some blocks were skipped after the one pass at the incumbent
                 # radius minus one, and some were scored
@@ -175,7 +184,7 @@ def test_local_search_matches_reference(sset, start, max_iterations, restarts, s
 @given(string_sets(KERNEL_LENGTH))
 def test_kernel_matches_hamming_in_lexicographic_order(sset):
     centers = list(ref.enumerate_words(sset.alphabet, sset.length))
-    block = center_block(sset.alphabet, sset.length, 0, len(centers))
+    block = center_block(sset.alphabet, sset.length, range(len(centers)))
     expected = [[hamming(c, w) for w in sset] for c in centers]
     assert distances(block, packed(sset), field_bits(sset.alphabet)).tolist() == expected
     assert [Word.from_index(i, sset.length, sset.alphabet) for i in range(len(centers))] == centers
@@ -219,7 +228,7 @@ def test_kernel_at_the_budget_matches_from_index(sigma, length):
     assert total <= exact.DEFAULT_ENUM_BUDGET < total * sigma
     sset = random_string_set(sigma, length, 5, seed=3)
     for lo in (0, total // 3, total - 3):
-        block = center_block(sset.alphabet, length, lo, lo + 3)
+        block = center_block(sset.alphabet, length, range(lo, lo + 3))
         words = [Word.from_index(i, length, sset.alphabet) for i in range(lo, lo + 3)]
         assert block.tolist() == [_packed_symbols(w) for w in words]
         expected = [[hamming(c, w) for w in sset] for c in words]
@@ -371,6 +380,20 @@ def test_msfbc_columns_tie_goes_to_the_first_index_list_over_all_column_sets():
     sset = StringSet.from_texts(["000", "001", "100", "101"])
     assert_msfbc_columns_match(sset, (1,))
     assert solve_msfbc_columns(MsfbcInstance(sset, 1)) == SubsetResult((0, 1), 1)
+
+
+def test_msfbc_columns_memory_does_not_grow_with_the_square_of_the_width():
+    # two words of 8,192 columns, one limb row each of 1 KiB: a table of every
+    # column's field, one limb row per column, would hold 8 MiB
+    inst = MsfbcInstance(random_string_set(2, 8192, 2, seed=1), 1)
+    tracemalloc.start()
+    try:
+        res = solve_msfbc_columns(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == SubsetResult((0,), 0)
+    assert peak < 3 << 20
 
 
 def test_claim_optval_past_the_subset_table():
