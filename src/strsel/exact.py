@@ -10,11 +10,12 @@ Every solver reads a string set through :func:`symbol_matrix`, an (n, l)
 per word with ceil(log2 sigma) bits per symbol. Candidates come in ``(ids,
 values)`` blocks, ``values[i]`` the score of ``ids[i]``, and one loop,
 :func:`_first_max`, picks the first maximum of CMS, FFMS, DkS and Max-2-SAT.
-CMS, FFMS and CkS take their index blocks and scorer, the numpy distance
-kernel :func:`distances` for every alphabet, from :func:`_center_blocks`.
-CkS decides radii by coverage counts, since a center's radius is at most r
-exactly when k words lie within r of it, and skips every block that cannot
-beat its incumbent. A :class:`Word` is built only for the winning center.
+CMS, FFMS and CkS take blocks of whole heads from :func:`_center_blocks` and
+its scorer, which adds the heads' distances from the numpy kernel
+:func:`distances` to a table of every tail's. CkS decides radii by coverage
+counts, since a center's radius is at most r exactly when k words lie
+within r of it, and skips every block that cannot beat its incumbent. A
+:class:`Word` is built only for the winning center.
 ``--recheck``, :func:`words.hamming`, :func:`words.coverage` and
 :func:`words.anticoverage` stay per-word Python, so they re-score that
 winner on an independent path. numpy stays out of :mod:`words`, so that
@@ -88,17 +89,17 @@ def field_bits(alphabet: Alphabet) -> int:
     return (alphabet.size - 1).bit_length()
 
 
-def packed(sset: StringSet) -> np.ndarray:
-    """The words as :func:`distances` operands: one unsigned integer per word
-    of :func:`field_bits` bits per symbol, column 0 in the most significant
-    field. Refuses words of more than 64 bits."""
-    bits = field_bits(sset.alphabet)
-    width = sset.length * bits
+def packed(sset: StringSet, columns: slice = slice(None)) -> np.ndarray:
+    """The words' ``columns`` as :func:`distances` operands: one unsigned
+    integer per word of :func:`field_bits` bits per symbol, the first column
+    in the most significant field. Refuses words of more than 64 bits."""
+    matrix = symbol_matrix(sset)[:, columns]
+    bits, length = field_bits(sset.alphabet), matrix.shape[1]
+    width = length * bits
     if width > 64:
-        raise ValueError(f"{sset.length} symbols of {bits} bits need {width} bits, above the 64 of one packed word")
-    dtype = _bits_dtype(width)
-    shifts = np.arange(sset.length - 1, -1, -1, dtype=dtype) * dtype.type(bits)
-    return np.bitwise_or.reduce(symbol_matrix(sset).astype(dtype) << shifts, axis=1)
+        raise ValueError(f"{length} symbols of {bits} bits need {width} bits, above the 64 of one packed word")
+    # the fields do not overlap, so adding each symbol times its field's unit ORs them
+    return matrix @ np.array([1 << bits * j for j in range(length - 1, -1, -1)], dtype=_bits_dtype(width))
 
 
 def _bits_dtype(width: int) -> np.dtype:
@@ -156,16 +157,30 @@ def distances(centers: np.ndarray, words: np.ndarray, bits: int) -> np.ndarray:
 def _center_blocks(sset: StringSet) -> tuple:
     """``(blocks, score)``: all centers in lexicographic order as ranges of
     consecutive indices, made as they are read, and the scorer that maps a
-    block's ``ids`` to its :func:`distances` array."""
-    sigma, length = sset.alphabet.size, sset.length
+    block's ``ids`` to its :func:`distances` array. Center ``h * sigma^t +
+    u`` is head h, its first l - t columns, and tail u, its last t, so its
+    distances are the sums of theirs. t is the most columns that fit one
+    byte, fewer while the (words, sigma^t) table of the tails' distances
+    passes the block budget. A block is a run of whole heads."""
+    sigma, length, n = sset.alphabet.size, sset.length, sset.size
     check_budget("center enumeration", f"{sigma}^{length} words", ("^", sigma, length), DEFAULT_ENUM_BUDGET)
-    words = packed(sset)
     bits = field_bits(sset.alphabet)
-    total = sigma**length
-    # folding fields of more than one bit takes a second word-sized buffer
-    step = block_rows(words, 1 + (bits > 1))
-    blocks = (range(lo, min(lo + step, total)) for lo in range(0, total, step))
-    return blocks, lambda ids: distances(center_block(sset.alphabet, length, ids), words, bits)
+    t = min(length, 8 // bits)
+    while t and sigma**t * n > _BLOCK_ELEMENTS:
+        t -= 1
+    tails, heads = sigma**t, packed(sset, slice(length - t))
+    table = distances(center_block(sset.alphabet, t, range(tails)), packed(sset, slice(length - t, None)), bits).T
+    # per head: its sums and a solver's flags on them, a byte per (word, tail) each, and its XOR, doubled by folding
+    step = max(1, _BLOCK_ELEMENTS // (2 * n * tails + (1 + (bits > 1)) * heads.nbytes))
+    total = sigma ** (length - t)
+    blocks = (range(lo * tails, min(lo + step, total) * tails) for lo in range(0, total, step))
+
+    def score(ids: range) -> np.ndarray:
+        block = center_block(sset.alphabet, length - t, range(ids.start // tails, ids.stop // tails))
+        # the sums fill a words-major buffer, as the kernel does
+        return (distances(block, heads, bits).T[:, :, None] + table[:, None, :]).reshape(n, len(ids)).T
+
+    return blocks, score
 
 
 def _first_max(blocks) -> tuple:
@@ -174,7 +189,7 @@ def _first_max(blocks) -> tuple:
     a block, strictly larger across, so the earliest candidate wins ties."""
     best_id, best = None, None
     for ids, values in blocks:
-        i = int(np.argmax(values))
+        i = int(values.argmax())
         if best is None or values[i] > best:
             best_id, best = ids[i], int(values[i])
     return best_id, best
@@ -183,13 +198,13 @@ def _first_max(blocks) -> tuple:
 def coverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
     """The CMS objective of each center of a (..., words) distance array:
     how many words lie within distance ``d``."""
-    return (dist <= d).sum(axis=-1, dtype=np.min_scalar_type(dist.shape[-1]))
+    return np.add.reduce(dist <= d, axis=-1, dtype=np.min_scalar_type(dist.shape[-1]))
 
 
 def anticoverage_counts(dist: np.ndarray, d: int) -> np.ndarray:
     """The FFMS objective of each center of a (..., words) distance array:
     how many words lie at distance ``d`` or more."""
-    return (dist >= d).sum(axis=-1, dtype=np.min_scalar_type(dist.shape[-1]))
+    return np.add.reduce(dist >= d, axis=-1, dtype=np.min_scalar_type(dist.shape[-1]))
 
 
 def solve_cms_exact(inst: CmsInstance) -> CenterResult:
@@ -209,18 +224,20 @@ def solve_ffms_exact(inst: FfmsInstance) -> CenterResult:
 def _cks_result(inst: CksInstance, index: int, dist: np.ndarray) -> CenterResult:
     """The center with lexicographic index ``index``, whose distances to the
     words are ``dist``, and its k nearest strings, ties to the lowest index."""
-    nearest = np.argsort(dist, kind="stable")[: inst.k]
+    # a stable sort in Python, which for one row is cheaper than a numpy call
+    row = dist.tolist()
+    nearest = sorted(range(len(row)), key=row.__getitem__)[: inst.k]
     return CenterResult(
         center=Word.from_index(index, inst.set.length, inst.set.alphabet),
-        value=int(dist[nearest[-1]]),
-        chosen_subset=tuple(sorted(int(i) for i in nearest)),
+        value=row[nearest[-1]],
+        chosen_subset=tuple(sorted(nearest)),
     )
 
 
-def _cks_optimum(inst: CksInstance, blocks) -> CenterResult:
-    """The :func:`_cks_result` of the first center in lexicographic order
-    with the smallest CkS radius, its k-th smallest distance, over ``(ids,
-    dist)`` blocks of all centers.
+def _cks_optimum(inst: CksInstance, blocks) -> tuple:
+    """``(index, dist, radius)`` over ``(ids, dist)`` blocks of all centers:
+    the smallest CkS radius, a center's k-th smallest distance, and the
+    lexicographic index and distance row of the first center that has it.
 
     A center's radius is at most r exactly when it covers k words within r,
     so a block is scored only if some center covers k words within the
@@ -247,14 +264,15 @@ def _cks_optimum(inst: CksInstance, blocks) -> CenterResult:
         index, row = ids[i], dist[i].copy()
         if best == 0:
             break
-    return _cks_result(inst, index, row)
+    return index, row, best
 
 
 def solve_cks_exact(inst: CksInstance) -> CenterResult:
     """Minimize the k-th smallest distance over all possible centers. With
     k = n this is the classic Closest String problem."""
     blocks, score = _center_blocks(inst.set)
-    return _cks_optimum(inst, ((ids, score(ids)) for ids in blocks))
+    index, row, _ = _cks_optimum(inst, ((ids, score(ids)) for ids in blocks))
+    return _cks_result(inst, index, row)
 
 
 def solve_msfbc_subsets(inst: MsfbcInstance) -> SubsetResult:

@@ -12,6 +12,7 @@ not need an oracle at all: the radius is 0 iff some word occurs k times.
 
 from __future__ import annotations
 
+from operator import ne
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import exact
 from .exact import CenterResult, coverage_counts, solve_cks_exact, symbol_matrix
 from .rng import SplitMix64
-from .words import CksInstance, hamming
+from .words import CksInstance
 
 ApproxOracle = Callable[[CksInstance, float], CenterResult]
 
@@ -29,15 +30,18 @@ class OracleContractError(Exception):
 
 
 def _validate_oracle_result(inst: CksInstance, result: CenterResult) -> int:
+    center, sset, length = result.center, inst.set, inst.set.length
+    if (center.alphabet, len(center)) != (sset.alphabet, length):
+        shape = f"{len(center)} symbols over {center.alphabet.size}, not {length} over {sset.alphabet.size}"
+        raise OracleContractError(f"oracle returned a center of {shape}")
     if result.chosen_subset is None or len(result.chosen_subset) != inst.k:
         raise OracleContractError("oracle must return a subset of exactly k strings")
     if not inst.is_subset(result.chosen_subset):
         raise OracleContractError(f"oracle returned subset {result.chosen_subset}, not k distinct indices of words")
-    radius = max(hamming(result.center, inst.set.words[i]) for i in result.chosen_subset)
+    # the k chosen rows of the row buffer, recounted in Python: no Word per string, no numpy call
+    radius = max(sum(map(ne, sset.rows[i * length : (i + 1) * length], center.symbols)) for i in result.chosen_subset)
     if radius != result.value:
-        raise OracleContractError(
-            f"oracle reported radius {result.value} but its solution re-scores to {radius}"
-        )
+        raise OracleContractError(f"oracle reported radius {result.value} but its solution re-scores to {radius}")
     return radius
 
 
@@ -79,32 +83,29 @@ def synthetic_inflating_oracle(inst: CksInstance, eps: float, seed: int = 0) -> 
     radius (or d_opt, if none does), in lexicographic order. d_opt comes
     from the pruned CkS search; the candidates are counted block by block,
     and only the block that holds the drawn one is scored again. Block 0's
-    distances are kept for every pass and the scorer is called for the
-    others, so a string set whose centers fit one block is scored once."""
+    distances and hits are kept; the scorer is called for the others, so a
+    string set whose centers fit one block is scored once."""
     blocks, score = exact._center_blocks(inst.set)
     blocks = list(blocks)  # read by every pass; one range per block, as the counts keep one count
     first = score(blocks[0])
-
-    def kept(ids):
-        return first if ids is blocks[0] else score(ids)
-
-    d_opt = exact._cks_optimum(inst, zip(blocks, map(kept, blocks))).value
+    *_, d_opt = exact._cks_optimum(inst, ((ids, score(ids) if b else first) for b, ids in enumerate(blocks)))
     hi = int((1 + eps) * d_opt)
     rng = SplitMix64(seed)
     target = d_opt + rng.next_below(hi - d_opt + 1) if hi > d_opt else d_opt
     # the centers of d_opt are drawn from when none has the drawn radius
     for radius in dict.fromkeys((target, d_opt)):
-        counts = {ids: int(_at_radius(kept(ids), inst.k, radius, d_opt).sum()) for ids in blocks}
-        if any(counts.values()):
+        hits = _at_radius(first, inst.k, radius, d_opt).nonzero()[0]
+        counts = [len(hits)] + [int(_at_radius(score(ids), inst.k, radius, d_opt).sum()) for ids in blocks[1:]]
+        if any(counts):
             break
-    index = rng.next_below(sum(counts.values()))
-    for ids, count in counts.items():
-        if index < count:
-            break
-        index -= count
-    dist = kept(ids)
-    i = int(np.flatnonzero(_at_radius(dist, inst.k, radius, d_opt))[index])
-    return exact._cks_result(inst, ids[i], dist[i])
+    index, b = rng.next_below(sum(counts)), 0
+    while index >= counts[b]:
+        index, b = index - counts[b], b + 1
+    # block 0's distances and hits are kept; any other block is scored again
+    dist = score(blocks[b]) if b else first
+    hits = _at_radius(dist, inst.k, radius, d_opt).nonzero()[0] if b else hits
+    i = int(hits[index])
+    return exact._cks_result(inst, blocks[b][i], dist[i])
 
 
 def make_inflating_oracle(seed: int) -> ApproxOracle:

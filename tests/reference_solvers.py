@@ -80,6 +80,13 @@ def enumerate_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
             yield Word(symbols, alphabet)
 
 
+def center_distances(sset: StringSet) -> np.ndarray:
+    """The (centers, words) distance array of every center, in lexicographic
+    order, by ``hamming``: what ``exact._center_blocks`` scores as head and
+    tail sums, block by block."""
+    return np.array([[hamming(c, w) for w in sset] for c in enumerate_words(sset.alphabet, sset.length)])
+
+
 def solve_cms_exact(inst: CmsInstance) -> CenterResult:
     best = None
     best_value = -1

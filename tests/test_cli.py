@@ -474,6 +474,23 @@ def test_oracle_contract_error_exits_1(capsys, tmp_path, monkeypatch):
     assert captured.out == "" and captured.err == "error: oracle must return a subset of exactly k strings\n"
 
 
+@pytest.mark.parametrize("text, sigma", [("00", 2), ("000", 3)])
+def test_oracle_center_of_another_shape_exits_1(capsys, tmp_path, monkeypatch, text, sigma):
+    from strsel import fpt
+    from strsel.exact import CenterResult
+    from strsel.words import Alphabet, Word
+
+    p = tmp_path / "cks.txt"
+    p.write_text("strings 2 3 3\nparam k 2\n000\n011\n111\n")
+    center = Word.from_text(text, Alphabet(sigma))
+    monkeypatch.setattr(fpt, "synthetic_inflating_oracle", lambda inst, eps, seed: CenterResult(center, 1, (0, 1)))
+    status = main(["decide-cks", "-f", str(p), "--d", "1", "--oracle", "inflate:3"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err == f"error: oracle returned a center of {len(text)} symbols over {sigma}, not 3 over 2\n"
+
+
 @pytest.mark.parametrize(
     "problem, algo", [("max2sat", "local"), ("max2sat", "columns"), ("dks", "local"), ("dks", "columns"),
                       ("cks", "local"), ("cms", "columns")]

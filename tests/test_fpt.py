@@ -16,6 +16,7 @@ from strsel.fpt import (
 )
 from strsel.gen import random_string_set
 from strsel.rng import SplitMix64
+from strsel.words import Alphabet, Word
 
 
 def test_epsilon_below_integrality_threshold():
@@ -73,43 +74,53 @@ def test_inflating_oracle_falls_back_to_d_opt_when_no_center_has_the_drawn_radiu
     assert 0 < fallbacks < 20
 
 
-@pytest.mark.parametrize("elements", [1, 64, 1 << 20])
+def record_scored_blocks(monkeypatch):
+    """Wrap ``exact._center_blocks`` so that every ``ids`` reaching its block
+    scorer is appended to the returned list."""
+    calls, source = [], exact._center_blocks
+
+    def recording_source(sset):
+        blocks, score = source(sset)
+
+        def recording(ids):
+            calls.append(ids)
+            return score(ids)
+
+        return blocks, recording
+
+    monkeypatch.setattr(exact, "_center_blocks", recording_source)
+    return calls
+
+
+@pytest.mark.parametrize("elements", [1, 64, 2048, 1 << 20])
 def test_inflating_oracle_scores_again_only_the_block_of_the_drawn_center(monkeypatch, elements):
-    inst = CksInstance(random_string_set(2, 8, 6, seed=4), k=3)
-    scorer = exact.distances
-    calls = []
-
-    def recording(centers, words, bits):
-        # a binary center packs to its own lexicographic index, so each call
-        # records the index block it scores as [first index, block size]
-        calls.append([int(centers[0]), len(centers)])
-        return scorer(centers, words, bits)
-
+    inst = CksInstance(random_string_set(2, 9, 6, seed=4), k=3)
+    # one center per block (no tail), 2^3 tails per head, 2^8 tails per head, both heads at once
+    size = {1: 1, 64: 8, 2048: 256, 1 << 20: 512}[elements]
     monkeypatch.setattr(exact, "_BLOCK_ELEMENTS", elements)
-    monkeypatch.setattr(exact, "distances", recording)
-    step = min(256, exact.block_rows(exact.packed(inst.set)))
-    assert step == {1: 1, 64: 10, 1 << 20: 256}[elements]
-    others = [[lo, min(step, 256 - lo)] for lo in range(step, 256, step)]
+    calls = record_scored_blocks(monkeypatch)
+    # consecutive index ranges from the first center on
+    first, *others = [range(lo, lo + size) for lo in range(0, 512, size)]
     later = 0
     for seed in range(40):
         calls.clear()
         res = synthetic_inflating_oracle(inst, 0.5, seed)
         assert res == ref.synthetic_inflating_oracle(inst, 0.5, seed)
-        # the first block is scored once and kept; every pass scores the
-        # others, and then the drawn center's block is scored again
-        if step == 256:
-            assert calls == [[0, 256]]
+        # the first block is scored once and kept, with its hits; every pass
+        # scores the others, and then the drawn center's block is scored again
+        if not others:
+            assert calls == [first]
             continue
-        assert calls[0] == [0, step]
-        passes = calls[1:] if res.center.bits < step else calls[1:-1]
+        assert calls[0] == first
+        drawn = res.center.bits  # a binary word's lexicographic index
+        passes = calls[1:] if drawn in first else calls[1:-1]
         assert passes[: 2 * len(others)] == others * 2
         # whole passes only: d_opt, the drawn radius and at most one fallback to d_opt
         assert passes == others * (len(passes) // len(others)) and len(passes) // len(others) in (2, 3)
-        if res.center.bits >= step:
-            start, scored = calls[-1]
-            assert [start, scored] in others and start <= res.center.bits < start + step
+        if drawn not in first:
+            assert calls[-1] in others and drawn in calls[-1]
             later += 1
-    assert later > 0 or step == 256
+    assert later > 0 or not others
 
 
 def test_decision_agrees_with_bruteforce():
@@ -152,6 +163,19 @@ def test_contract_requires_k_distinct_indices_in_range(texts, k, subset):
     recheck = PROBLEMS["cks"][2]
     assert recheck(inst, res) is False
     assert recheck(inst, solve_cks_exact(inst)) is True
+
+
+# a center one symbol short, and one of the right length over another alphabet
+WRONG_CENTERS = [(Word.from_text("00"), "2 symbols over 2, not 3 over 2"),
+                 (Word.from_text("000", Alphabet(3)), "3 symbols over 3, not 3 over 2")]
+
+
+@pytest.mark.parametrize("center, shape", WRONG_CENTERS)
+def test_contract_requires_a_center_of_the_words_length_and_alphabet(center, shape):
+    inst = CksInstance(StringSet.from_texts(["000", "011", "111"]), k=2)
+    res = CenterResult(center=center, value=1, chosen_subset=(0, 1))
+    with pytest.raises(OracleContractError, match=f"oracle returned a center of {shape}"):
+        decide_cks(inst, 1, lambda inst, eps: res)
 
 
 def test_repeated_index_no_longer_fakes_a_small_radius():

@@ -93,27 +93,28 @@ def test_inflating_oracle_matches_reference(sset, block, seeds, eps, data):
 
 
 def _solve_cks_counting_passes(inst):
-    """``solve_cks_exact(inst)``, the index blocks it scores with one
-    ``distances`` call each, and the number of coverage passes it makes on
-    each of them."""
+    """``solve_cks_exact(inst)``, the index blocks that reach its block
+    scorer, and the number of coverage passes it makes on each of them."""
     blocks, passes = [], []
-    block, kernel, counts = exact.center_block, exact.distances, exact.coverage_counts
+    source, counts = exact._center_blocks, exact.coverage_counts
 
-    def recording_block(alphabet, length, ids):
-        blocks.append(ids)
-        return block(alphabet, length, ids)
+    def recording_source(sset):
+        ranges, score = source(sset)
 
-    def counting_kernel(centers, words, bits):
-        passes.append(0)
-        return kernel(centers, words, bits)
+        def recording(ids):
+            blocks.append(ids)
+            passes.append(0)
+            return score(ids)
+
+        return ranges, recording
 
     def counting(dist, d):
         passes[-1] += 1
         return counts(dist, d)
 
-    with mock.patch.object(exact, "center_block", recording_block), mock.patch.object(
-        exact, "distances", counting_kernel
-    ), mock.patch.object(exact, "coverage_counts", counting):
+    with mock.patch.object(exact, "_center_blocks", recording_source), mock.patch.object(
+        exact, "coverage_counts", counting
+    ):
         result = solve_cks_exact(inst)
     assert len(blocks) == len(passes)
     return result, blocks, passes
@@ -134,7 +135,8 @@ def test_cks_and_oracle_match_the_sort_scorer_at_mid_size(sigma, length, n, bloc
             expected = ref.solve_cks_by_sort(inst)
             result, blocks, passes = _solve_cks_counting_passes(inst)
             assert result == expected
-            # consecutive index blocks from the first center on
+            # consecutive index blocks from the first center on, of more than one in all
+            assert len(list(exact._center_blocks(inst.set)[0])) > 1
             assert [i for ids in blocks for i in ids] == list(range(blocks[-1][-1] + 1))
             if inst.set is repeated:
                 assert result.center == late and result.value == 0
@@ -188,6 +190,40 @@ def test_kernel_matches_hamming_in_lexicographic_order(sset):
     expected = [[hamming(c, w) for w in sset] for c in centers]
     assert distances(block, packed(sset), field_bits(sset.alphabet)).tolist() == expected
     assert [Word.from_index(i, sset.length, sset.alphabet) for i in range(len(centers))] == centers
+
+
+# field widths of 1 to 6 bits, filled by the symbols and not
+TAIL_SIGMAS = [2, 3, 4, 5, 8, 9, 16, 17, 36]
+
+
+def _tail_columns(sigma: int, n: int, elements: int) -> int:
+    """The tail the block scorer takes for words longer than it: the most
+    columns that fit one byte, fewer while the table of sigma^t tails by n
+    words passes ``elements``, down to none."""
+    per_byte = 8 // field_bits(Alphabet(sigma))
+    return max([0] + [t for t in range(1, per_byte + 1) if sigma**t * n <= elements])
+
+
+@pytest.mark.parametrize("sigma", TAIL_SIGMAS)
+def test_block_scorer_matches_hamming_across_the_head_and_tail_split(sigma):
+    expected = {}
+    for elements in (1, 64, exact._BLOCK_ELEMENTS):
+        # under 64 elements, 3 words shrink the tail and 65 leave none
+        for n in (1, 3, 65):
+            t = _tail_columns(sigma, n, elements)
+            # with no tail, every head is a whole word
+            for length in range(max(1, t - 1), max(2 * t + 1, 2) + 1):
+                if sigma**length * n > 36**3:
+                    break  # sigma = 36 reaches 2t + 1 = 3 columns; the per-word reference stays fast
+                sset = random_string_set(sigma, length, n, seed=length)
+                if (length, n) not in expected:
+                    expected[length, n] = ref.center_distances(sset)
+                with mock.patch.object(exact, "_BLOCK_ELEMENTS", elements):
+                    blocks, score = exact._center_blocks(sset)
+                    blocks = list(blocks)
+                    dist = np.concatenate([score(ids) for ids in blocks])
+                assert [i for ids in blocks for i in ids] == list(range(sigma**length))
+                assert np.array_equal(dist, expected[length, n]), (elements, n, length)
 
 
 def _packed_symbols(word: Word) -> int:
