@@ -8,12 +8,13 @@ reason).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import exact, experiments, fpt, gen, heuristics, reductions
 from .formats import (
@@ -100,7 +101,8 @@ def _subset_fields(res) -> list:
 
 
 def _search_config(args) -> heuristics.SearchConfig:
-    return heuristics.SearchConfig(seed=args.seed, restarts=args.restarts, start=args.start)
+    restarts = 8 if args.restarts is None else args.restarts
+    return heuristics.SearchConfig(seed=args.seed, restarts=restarts, start=args.start or "inputs")
 
 
 def _k(args, command: str) -> int:
@@ -186,6 +188,9 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"--algo {args.algo} does not apply to {args.problem}; use {' or '.join(solvers)}")
     if args.k is not None and args.problem != "dks":
         raise ValueError(f"--k applies to dks only; {args.problem} takes its parameters from the instance file")
+    local_only = [name for name in ("seed", "restarts", "start") if getattr(args, name) is not None]
+    if local_only and args.algo != "local":
+        raise ValueError(f"--{local_only[0]} applies to --algo local only")
     record = [("problem", args.problem), ("algorithm", args.algo)]
     if args.algo == "local":
         args.seed, _ = _resolve_seed(args)
@@ -311,80 +316,135 @@ def _cmd_experiment(args) -> int:
     return status
 
 
+class Option(NamedTuple):
+    """One argument of a command: ``flags`` are its option strings, or a positional's name. ``type``
+    converts its value, except ``bool``, which marks a switch that takes none (argparse's store_true)."""
+
+    flags: str
+    type: Callable = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flags.split()[-1].lstrip("-")
+
+
+class Command(NamedTuple):
+    help: str
+    func: Callable
+    options: tuple
+    generate: Callable | None = None
+
+
+_FILE = Option("-f --file", required=True)
+_SEED = Option("--seed", int)
+
+# The CLI grammar: each command's handler and arguments, in help order. main parses a canonical argv
+# from it, and build_parser builds argparse from it for every other argv.
+COMMANDS = {
+    "gen-max2sat": Command(
+        "generate a random 2-CNF instance", _cmd_gen,
+        (Option("--n", int, required=True), Option("--m", int, required=True), _SEED, Option("-o --output")),
+        lambda args, seed: serialize_cnf(gen.random_max2sat(args.n, args.m, seed)),
+    ),
+    "gen-graph": Command(
+        "generate a random simple graph", _cmd_gen,
+        (Option("--vertices", int, required=True), Option("--edges", int, required=True), _SEED, Option("-o --output")),
+        lambda args, seed: serialize_graph(gen.random_graph(args.vertices, args.edges, seed)),
+    ),
+    "reduce": Command("run a hardness reduction as an instance generator", _cmd_reduce, (
+        Option("kind", choices=tuple(REDUCTION_OPTIONS), required=True), _FILE,
+        Option("--c", int, help="sat2cms only (default 20)"), Option("--k", int), _SEED,
+        Option("-o --output", required=True),
+    )),
+    "solve": Command("solve an instance", _cmd_solve, (
+        Option("problem", choices=tuple(PROBLEMS), required=True),
+        Option("--algo", default="exact", choices=("exact", "columns", "local")), _FILE, Option("--k", int), _SEED,
+        Option("--restarts", int), Option("--start", choices=("inputs", "random", "canonical")),
+        Option("--recheck", bool, False), Option("--timing", bool, False),
+    )),
+    "verify": Command("verify a reduction claim", _cmd_verify, (
+        Option("check", choices=("claim-optval",), required=True), _FILE, Option("--k", int, required=True),
+    )),
+    "decide-cks": Command("FPT decision for Closest to k Strings", _cmd_decide_cks, (
+        _FILE, Option("--d", int, required=True), Option("--oracle", default="exact"),
+    )),
+    "experiment": Command("run a verification experiment", _cmd_experiment, (
+        Option("name", choices=tuple(EXPERIMENTS), required=True), Option("--n", int, 4), Option("--m", int, 4),
+        Option("--c", int, 20), Option("--trials", int, 100), _SEED,
+    )),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one argument parser, built on the first :func:`main` call and
-    reused by every later one: each parse leaves it unchanged and returns a fresh namespace."""
+def _grammar(command: str):
+    """A command's arguments for the table parser: each flag, and None for its positional, mapped to
+    (dest, option); the defaults by dest; the required dests."""
+    options = COMMANDS[command].options
+    lookup = {flag if flag.startswith("-") else None: (opt.dest, opt) for opt in options for flag in opt.flags.split()}
+    return lookup, {opt.dest: opt.default for opt in options}, [opt.dest for opt in options if opt.required]
+
+
+def _parse_table(argv):
+    """The namespace argparse gives a canonical ``argv``, read from :data:`COMMANDS`, or None for any
+    other argv. Canonical: a known command, exact option strings each given once, no value that starts
+    with ``-``, and every required argument present, its value converting to its type and in its choices."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    lookup, defaults, required = _grammar(argv[0])
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        # a token without a leading "-" can only be the positional's value
+        dest, opt = lookup.get(token if token.startswith("-") else None, (None, None))
+        if opt is None or dest in values:
+            return None
+        if opt.type is bool:
+            values[dest] = True
+            continue
+        raw = next(tokens, "-") if token.startswith("-") else token
+        try:
+            values[dest] = opt.type(raw)
+        except ValueError:
+            return None
+        if raw.startswith("-") or opt.choices is not None and values[dest] not in opt.choices:
+            return None
+    if any(dest not in values for dest in required):
+        return None
+    cmd = COMMANDS[argv[0]]
+    return SimpleNamespace(command=argv[0], **{**defaults, **values}, func=cmd.func, generate=cmd.generate)
+
+
+@functools.cache
+def build_parser():
+    """The argparse parser of :data:`COMMANDS`, for help and usage errors. It is built on the first argv
+    that the table parser leaves to it, and reused: each parse leaves it unchanged."""
+    import argparse
+
     p = argparse.ArgumentParser(prog="strsel", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-max2sat", help="generate a random 2-CNF instance")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--seed", type=int)
-    g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen, generate=lambda args, seed: serialize_cnf(gen.random_max2sat(args.n, args.m, seed)))
-
-    g = sub.add_parser("gen-graph", help="generate a random simple graph")
-    g.add_argument("--vertices", type=int, required=True)
-    g.add_argument("--edges", type=int, required=True)
-    g.add_argument("--seed", type=int)
-    g.add_argument("-o", "--output")
-    g.set_defaults(
-        func=_cmd_gen, generate=lambda args, seed: serialize_graph(gen.random_graph(args.vertices, args.edges, seed))
-    )
-
-    g = sub.add_parser("reduce", help="run a hardness reduction as an instance generator")
-    g.add_argument("kind", choices=list(REDUCTION_OPTIONS))
-    g.add_argument("-f", "--file", required=True)
-    g.add_argument("--c", type=int, help="sat2cms only (default 20)")
-    g.add_argument("--k", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=_cmd_reduce)
-
-    g = sub.add_parser("solve", help="solve an instance")
-    g.add_argument("problem", choices=list(PROBLEMS))
-    g.add_argument("--algo", default="exact", choices=["exact", "columns", "local"])
-    g.add_argument("-f", "--file", required=True)
-    g.add_argument("--k", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--restarts", type=int, default=8)
-    g.add_argument("--start", default="inputs", choices=["inputs", "random", "canonical"])
-    g.add_argument("--recheck", action="store_true")
-    g.add_argument("--timing", action="store_true")
-    g.set_defaults(func=_cmd_solve)
-
-    g = sub.add_parser("verify", help="verify a reduction claim")
-    g.add_argument("check", choices=["claim-optval"])
-    g.add_argument("-f", "--file", required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.set_defaults(func=_cmd_verify)
-
-    g = sub.add_parser("decide-cks", help="FPT decision for Closest to k Strings")
-    g.add_argument("-f", "--file", required=True)
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--oracle", default="exact")
-    g.set_defaults(func=_cmd_decide_cks)
-
-    g = sub.add_parser("experiment", help="run a verification experiment")
-    g.add_argument("name", choices=list(EXPERIMENTS))
-    g.add_argument("--n", type=int, default=4)
-    g.add_argument("--m", type=int, default=4)
-    g.add_argument("--c", type=int, default=20)
-    g.add_argument("--trials", type=int, default=100)
-    g.add_argument("--seed", type=int)
-    g.set_defaults(func=_cmd_experiment)
-
+    for name, cmd in COMMANDS.items():
+        g = sub.add_parser(name, help=cmd.help)
+        for opt in cmd.options:
+            flags = opt.flags.split()
+            kwargs = {"action": "store_true"} if opt.type is bool else {"type": opt.type, "choices": opt.choices}
+            if flags[0].startswith("-"):  # argparse takes no required= for a positional
+                kwargs["required"] = opt.required
+            g.add_argument(*flags, default=opt.default, help=opt.help, **kwargs)
+        g.set_defaults(func=cmd.func, generate=cmd.generate)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_table(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as e:

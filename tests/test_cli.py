@@ -1,17 +1,25 @@
-"""End-to-end CLI: exit-code contract, record re-scoring, reproducibility."""
+"""End-to-end CLI: exit-code contract, record re-scoring, reproducibility, and the table parser
+against argparse."""
 
+import contextlib
+import io
+import itertools
 import os
 import re
 import secrets
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_golden_cli import _commands as golden_commands
 
-from strsel import cli, exact
-from strsel.cli import build_parser, main
+from strsel import cli, exact, heuristics
+from strsel.cli import COMMANDS, build_parser, main
 
 K3 = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 CMS = "strings 2 2 3\nparam d 1\n00\n01\n11\n"
@@ -53,6 +61,23 @@ def test_solve_local_deterministic(capsys, cms_file):
     _, out1 = run(capsys, "solve", "cms", "--algo", "local", "-f", cms_file, "--seed", "5")
     _, out2 = run(capsys, "solve", "cms", "--algo", "local", "-f", cms_file, "--seed", "5")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("algo", [[], ["--algo", "exact"]])
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--restarts", "2"], ["--start", "random"]])
+def test_solve_refuses_a_local_search_option_without_algo_local(capsys, cms_file, algo, option):
+    status = main(["solve", "cms", "-f", cms_file, *algo, *option])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {option[0]} applies to --algo local only\n"
+
+
+def test_local_search_defaults_to_eight_restarts_from_the_inputs(capsys, cms_file, monkeypatch):
+    configs = []
+    monkeypatch.setattr(heuristics, "local_search_cms",
+                        lambda inst, cfg: configs.append(cfg) or exact.solve_cms_exact(inst))
+    run(capsys, "solve", "cms", "-f", cms_file, "--algo", "local", "--seed", "5")
+    assert configs == [heuristics.SearchConfig(seed=5, restarts=8, start="inputs")]
 
 
 def test_solve_msfbc_both_algos(capsys, tmp_path):
@@ -569,3 +594,125 @@ def test_reused_parser_answers_as_a_fresh_one(capsys, cms_file, monkeypatch):
     assert as_dict(reused[2][1])["seed"] == "3" and as_dict(reused[3][1])["seed"] == "12345"
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
     assert _transcript(capsys, commands) == reused
+
+
+# prints whether argparse is imported and whether its parser is built: after a canonical command,
+# then after one that argparse must parse
+NO_ARGPARSE_FOR_A_CANONICAL_COMMAND = """
+import sys
+from strsel import cli
+cli.main(["experiment", "quarter-bound", "--n", "3"])
+print("argparse" in sys.modules, cli.build_parser.cache_info().currsize)
+cli.main(["experiment", "quarter-bound", "--n=3"])
+print("argparse" in sys.modules, cli.build_parser.cache_info().currsize)
+"""
+
+
+def test_only_a_non_canonical_command_imports_argparse():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_ARGPARSE_FOR_A_CANONICAL_COMMAND], capture_output=True,
+                          text=True, env=env, timeout=60)
+    lines = [line for line in done.stdout.splitlines() if line.startswith(("True", "False"))]
+    assert done.returncode == 0 and lines == ["False 0", "True 1"]
+
+
+def _argparse_vars(argv):
+    """argparse's namespace for ``argv`` as a dict, or None where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_table_agrees(argv):
+    """The table parser gives argparse's namespace or None, and None wherever argparse exits; a second
+    parse, after the first namespace is rewritten as a handler may rewrite it, gives the same."""
+    expected = _argparse_vars(argv)
+    first = cli._parse_table(argv)
+    if first is None:
+        assert cli._parse_table(argv) is None
+        return None
+    assert expected is not None and vars(first) == expected
+    for key in vars(first):
+        setattr(first, key, None)
+    assert vars(cli._parse_table(argv)) == expected
+    return first
+
+
+_TABLE_TOKENS = sorted(
+    {*COMMANDS}
+    | {flag for cmd in COMMANDS.values() for opt in cmd.options for flag in opt.flags.split() if flag[0] == "-"}
+    | {choice for cmd in COMMANDS.values() for opt in cmd.options for choice in opt.choices or ()}
+)
+# what takes a canonical argv off the table path: help, --opt=value, abbreviations, negative or
+# non-integer values, "--", unknown options and stray tokens
+_PERTURBATIONS = ["-h", "--help", "--rest", "--see", "--seed=3", "-fa.txt", "--", "-", "-1", "-x", "--nosuch",
+                  "x", "", " 5", "1.5", "nosuch"]
+_VALUES = {int: st.integers(0, 99).map(str), str: st.sampled_from(["a.txt", "out/", "inflate:3", "exact", "12"])}
+
+
+@st.composite
+def _argvs(draw):
+    """A canonical argv drawn from :data:`COMMANDS` (required arguments, some optional ones, any
+    order), then up to three edits: a token inserted, replaced or deleted, a token joined to the
+    next by "=" (``--seed=3``), or a token's last character dropped (``--restart``)."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    groups = []
+    for opt in COMMANDS[name].options:
+        if opt.required or draw(st.booleans()):
+            flags = opt.flags.split()
+            values = st.sampled_from(opt.choices) if opt.choices else _VALUES.get(opt.type)
+            value = [] if opt.type is bool else [draw(values)]
+            groups.append([draw(st.sampled_from(flags)), *value] if flags[0][0] == "-" else value)
+    argv = [name, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(_PERTURBATIONS + _TABLE_TOKENS))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "join", "shorten"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, token)
+        elif edit in ("replace", "delete"):
+            argv[at:at + 1] = [token] if edit == "replace" else []
+        else:
+            argv[at:at + 2] = ["=".join(argv[at:at + 2])] if edit == "join" else [argv[at][:-1]]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["solve", "cms", "cms", "-f", "a.txt"])
+@example(["solve", "cms", "-f", "a.txt", "--algo", "local", "--rest", "1", "--seed=3"])
+def test_table_parser_agrees_with_argparse(argv):
+    _assert_table_agrees(argv)
+
+
+def test_every_golden_command_takes_the_table_path():
+    for argv, _ in golden_commands():
+        assert _assert_table_agrees(argv) is not None, argv
+
+
+def test_every_readme_example_takes_the_table_path():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    examples = [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("strsel ")]
+    assert {argv[0] for argv in examples} == set(COMMANDS)
+    for argv in examples:
+        assert _assert_table_agrees(argv) is not None, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nosuch"], ["solve", "cms", "-f", "x", "--nosuch"], ["solve", "cms", "-f", "x", "--algo", "nosuch"],
+     ["solve", "cms"], ["decide-cks", "-f", "x", "--d", "x"], ["--help"], ["solve", "--help"]],
+)
+def test_usage_errors_and_help_are_argparse_s(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    status = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert (status, got.out, got.err) == (exited.value.code, expected.out, expected.err)
+    assert status == (0 if "--help" in argv else 2) and (got.out if status == 0 else got.err)
