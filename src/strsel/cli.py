@@ -33,6 +33,8 @@ from .words import CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, antico
 def _resolve_seed(args) -> tuple[int, bool]:
     """(seed, was_auto_drawn)."""
     if getattr(args, "seed", None) is not None:
+        if not 0 <= args.seed < 1 << 64:
+            raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
         return args.seed, False
     # imported here, not at the top: secrets loads hashlib and OpenSSL's
     # libcrypto, a few MB of resident memory that a run with --seed never uses
@@ -46,39 +48,27 @@ def _emit(pairs):
         print(f"{key}={value}")
 
 
-def _write_or_print(text: str, path):
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_gen(args) -> int:
     seed, auto = _resolve_seed(args)
     text = args.generate(args, seed)
     if auto:
         _emit([("seed", seed)])
-    _write_or_print(text, args.output)
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
-# reduction -> the options it reads besides -f and -o
-REDUCTION_OPTIONS = {"sat2cms": ("c", "seed"), "dks2msfbc": ("k",)}
-
-
 def _cmd_reduce(args) -> int:
-    for name in ("c", "k", "seed"):
-        if getattr(args, name) is not None and name not in REDUCTION_OPTIONS[args.kind]:
-            raise ValueError(f"--{name} does not apply to reduce {args.kind}")
     text = Path(args.file).read_text()
     if args.kind == "sat2cms":
-        phi = parse_cnf(text)
         seed, auto = _resolve_seed(args)
-        inst, cert = reductions.reduce_max2sat_to_cms(phi, c=20 if args.c is None else args.c, seed=seed)
+        inst, cert = reductions.reduce_max2sat_to_cms(parse_cnf(text), c=args.c, seed=seed)
         if auto:
             _emit([("seed", seed)])
     else:
-        inst, cert = reductions.reduce_dks_to_msfbc(parse_graph(text), _k(args, "dks2msfbc"))
+        inst, cert = reductions.reduce_dks_to_msfbc(parse_graph(text), args.k)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     inst_path = outdir / "instance.txt"
@@ -98,17 +88,6 @@ def _center_fields(res) -> list:
 def _subset_fields(res) -> list:
     indices = " ".join(str(i + 1) for i in res.indices)
     return [("value", len(res.indices)), ("indices", indices), ("bad_columns", res.bad_column_count)]
-
-
-def _search_config(args) -> heuristics.SearchConfig:
-    restarts = 8 if args.restarts is None else args.restarts
-    return heuristics.SearchConfig(seed=args.seed, restarts=restarts, start=args.start or "inputs")
-
-
-def _k(args, command: str) -> int:
-    if args.k is None:
-        raise ValueError(f"{command} requires --k")
-    return args.k
 
 
 def _satisfied_clauses(phi, assignment) -> int:
@@ -134,7 +113,7 @@ PROBLEMS = {
         lambda text: parse_strings_instance(text, CmsInstance),
         {
             "exact": lambda inst, args: exact.solve_cms_exact(inst),
-            "local": lambda inst, args: heuristics.local_search_cms(inst, _search_config(args)),
+            "local": lambda inst, args: heuristics.local_search_cms(inst, args.config),
         },
         lambda inst, res: coverage(res.center, inst) == res.value,
         _center_fields,
@@ -143,7 +122,7 @@ PROBLEMS = {
         lambda text: parse_strings_instance(text, FfmsInstance),
         {
             "exact": lambda inst, args: exact.solve_ffms_exact(inst),
-            "local": lambda inst, args: heuristics.local_search_ffms(inst, _search_config(args)),
+            "local": lambda inst, args: heuristics.local_search_ffms(inst, args.config),
         },
         lambda inst, res: anticoverage(res.center, inst) == res.value,
         _center_fields,
@@ -173,7 +152,7 @@ PROBLEMS = {
     ),
     "dks": (
         lambda text: parse_graph(text),
-        {"exact": lambda graph, args: exact.solve_dks_exact(graph, _k(args, "dks"))},
+        {"exact": lambda graph, args: exact.solve_dks_exact(graph, args.k)},
         lambda graph, res: _induced_edges(graph, res[0]) == res[1],
         lambda res: [("value", res[1]), ("vertices", " ".join(map(str, res[0])))],
     ),
@@ -183,29 +162,21 @@ PROBLEMS = {
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
     parse, solvers, recheck, fields = PROBLEMS[args.problem]
-    inst = parse(Path(args.file).read_text())
-    if args.algo not in solvers:
-        raise ValueError(f"--algo {args.algo} does not apply to {args.problem}; use {' or '.join(solvers)}")
-    if args.k is not None and args.problem != "dks":
-        raise ValueError(f"--k applies to dks only; {args.problem} takes its parameters from the instance file")
-    local_only = [name for name in ("seed", "restarts", "start") if getattr(args, name) is not None]
-    if local_only and args.algo != "local":
-        raise ValueError(f"--{local_only[0]} applies to --algo local only")
     record = [("problem", args.problem), ("algorithm", args.algo)]
     if args.algo == "local":
-        args.seed, _ = _resolve_seed(args)
-        record.append(("seed", args.seed))
+        seed, _ = _resolve_seed(args)
+        args.config = heuristics.SearchConfig(seed=seed, restarts=args.restarts, start=args.start)
+        record.append(("seed", seed))
+    inst = parse(Path(args.file).read_text())
     res = solvers[args.algo](inst, args)
     record += fields(res)
-    status = 0
+    ok = not args.recheck or recheck(inst, res)
     if args.recheck:
-        ok = recheck(inst, res)
         record.append(("recheck", "ok" if ok else "fail"))
-        status = 0 if ok else 1
     _emit(record)
     if args.timing:
         _emit([("wall_time_s", f"{time.perf_counter() - started:.3f}")])
-    return status
+    return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
@@ -318,7 +289,8 @@ def _cmd_experiment(args) -> int:
 
 class Option(NamedTuple):
     """One argument of a command: ``flags`` are its option strings, or a positional's name. ``type``
-    converts its value, except ``bool``, which marks a switch that takes none (argparse's store_true)."""
+    converts its value, except ``bool``, which marks a switch that takes none (argparse's store_true).
+    ``read_by`` names the values of a choice argument that read the option, or is () if all do."""
 
     flags: str
     type: Callable = str
@@ -326,6 +298,7 @@ class Option(NamedTuple):
     choices: tuple | None = None
     required: bool = False
     help: str | None = None
+    read_by: tuple = ()
 
     @property
     def dest(self) -> str:
@@ -356,14 +329,17 @@ COMMANDS = {
         lambda args, seed: serialize_graph(gen.random_graph(args.vertices, args.edges, seed)),
     ),
     "reduce": Command("run a hardness reduction as an instance generator", _cmd_reduce, (
-        Option("kind", choices=tuple(REDUCTION_OPTIONS), required=True), _FILE,
-        Option("--c", int, help="sat2cms only (default 20)"), Option("--k", int), _SEED,
+        Option("kind", choices=("sat2cms", "dks2msfbc"), required=True), _FILE,
+        Option("--c", int, 20, help="sat2cms only (default 20)", read_by=("sat2cms",)),
+        Option("--k", int, required=True, read_by=("dks2msfbc",)), _SEED._replace(read_by=("sat2cms",)),
         Option("-o --output", required=True),
     )),
     "solve": Command("solve an instance", _cmd_solve, (
         Option("problem", choices=tuple(PROBLEMS), required=True),
-        Option("--algo", default="exact", choices=("exact", "columns", "local")), _FILE, Option("--k", int), _SEED,
-        Option("--restarts", int), Option("--start", choices=("inputs", "random", "canonical")),
+        Option("--algo", default="exact", choices=("exact", "columns", "local")), _FILE,
+        Option("--k", int, required=True, read_by=("dks",)), _SEED._replace(read_by=("local",)),
+        Option("--restarts", int, 8, read_by=("local",)),
+        Option("--start", default="inputs", choices=("inputs", "random", "canonical"), read_by=("local",)),
         Option("--recheck", bool, False), Option("--timing", bool, False),
     )),
     "verify": Command("verify a reduction claim", _cmd_verify, (
@@ -373,8 +349,11 @@ COMMANDS = {
         _FILE, Option("--d", int, required=True), Option("--oracle", default="exact"),
     )),
     "experiment": Command("run a verification experiment", _cmd_experiment, (
-        Option("name", choices=tuple(EXPERIMENTS), required=True), Option("--n", int, 4), Option("--m", int, 4),
-        Option("--c", int, 20), Option("--trials", int, 100), _SEED,
+        Option("name", choices=tuple(EXPERIMENTS), required=True),
+        Option("--n", int, 4, read_by=("fixing-lemma", "quarter-bound", "half-bound", "las-vegas")),
+        Option("--m", int, 4, read_by=("fixing-lemma", "inequalities", "las-vegas")),
+        Option("--c", int, 20, read_by=("fixing-lemma", "inequalities", "las-vegas")),
+        Option("--trials", int, 100, read_by=("fixing-lemma",)), _SEED._replace(read_by=("fixing-lemma", "las-vegas")),
     )),
 }
 
@@ -382,10 +361,39 @@ COMMANDS = {
 @functools.cache
 def _grammar(command: str):
     """A command's arguments for the table parser: each flag, and None for its positional, mapped to
-    (dest, option); the defaults by dest; the required dests."""
+    (dest, option); the parsed defaults by dest; the dests required everywhere; and, in table order, each
+    option with ``read_by`` as (dest, option, dest of the choice argument whose value it is checked against)."""
     options = COMMANDS[command].options
     lookup = {flag if flag.startswith("-") else None: (opt.dest, opt) for opt in options for flag in opt.flags.split()}
-    return lookup, {opt.dest: opt.default for opt in options}, [opt.dest for opt in options if opt.required]
+    restricted = [(opt.dest, opt, next(o.dest for o in options if opt.read_by[0] in (o.choices or ())))
+                  for opt in options if opt.read_by]
+    defaults = {opt.dest: None if opt.read_by else opt.default for opt in options}
+    return lookup, defaults, [opt.dest for opt in options if opt.required and not opt.read_by], restricted
+
+
+# an option given where it is not read: its refusal, by (command, the argument that decides where it is read)
+_NOT_READ = {
+    ("solve", "problem"): "--{dest} applies to {read_by} only; {value} takes its parameters from the instance file",
+    ("solve", "algo"): "--{dest} applies to --algo {read_by} only",
+}
+
+
+def _apply_options(args):
+    """Refuse an --algo that the problem lacks; then, in table order, refuse each option given where it is
+    not read, or missing where it is read and required, and fill in the default of one read but not given."""
+    if args.command == "solve" and args.algo not in PROBLEMS[args.problem][1]:
+        algos = " or ".join(PROBLEMS[args.problem][1])
+        raise ValueError(f"--algo {args.algo} does not apply to {args.problem}; use {algos}")
+    for dest, opt, key in _grammar(args.command)[3]:
+        value = getattr(args, key)
+        if getattr(args, dest) is None:
+            if value in opt.read_by and opt.required:
+                raise ValueError(f"{value} requires --{dest}")
+            setattr(args, dest, opt.default if value in opt.read_by else None)
+        elif value not in opt.read_by:
+            refusal = _NOT_READ.get((args.command, key), "--{dest} does not apply to {command} {value}")
+            read_by = " or ".join(opt.read_by)
+            raise ValueError(refusal.format(dest=dest, read_by=read_by, command=args.command, value=value))
 
 
 def _parse_table(argv):
@@ -394,7 +402,7 @@ def _parse_table(argv):
     with ``-``, and every required argument present, its value converting to its type and in its choices."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    lookup, defaults, required = _grammar(argv[0])
+    lookup, defaults, required, _ = _grammar(argv[0])
     values, tokens = {}, iter(argv[1:])
     for token in tokens:
         # a token without a leading "-" can only be the positional's value
@@ -431,8 +439,8 @@ def build_parser():
             flags = opt.flags.split()
             kwargs = {"action": "store_true"} if opt.type is bool else {"type": opt.type, "choices": opt.choices}
             if flags[0].startswith("-"):  # argparse takes no required= for a positional
-                kwargs["required"] = opt.required
-            g.add_argument(*flags, default=opt.default, help=opt.help, **kwargs)
+                kwargs["required"] = opt.required and not opt.read_by
+            g.add_argument(*flags, default=None if opt.read_by else opt.default, help=opt.help, **kwargs)
         g.set_defaults(func=cmd.func, generate=cmd.generate)
     return p
 
@@ -446,6 +454,7 @@ def main(argv=None) -> int:
         except SystemExit as e:
             return 2 if e.code not in (0, None) else 0
     try:
+        _apply_options(args)
         return args.func(args)
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

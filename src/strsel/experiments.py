@@ -306,9 +306,9 @@ def inequality_checks(c: int, m_max: int) -> InequalityReport:
         negative, so it is <= 0 for every n iff the bracket is: from c = 20 on.
     """
     if c < 5:
-        raise ValueError("c must be >= 5")
+        raise ValueError(f"--c must be at least 5, got {c}")
     if m_max < 2:
-        raise ValueError("m_max must be >= 2")
+        raise ValueError(f"--m must be at least 2, got {m_max}")
     eps_grid = [(tenths, 10 * (21 + 44 * c)) for tenths in (1, 5, 9)]
     return InequalityReport(
         epsilon_threshold=1.0 / (21 + 44 * c),

@@ -168,6 +168,18 @@ def test_reduce_refuses_an_option_the_reduction_does_not_read(capsys, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, command", [(["solve", "dks"], "dks"), (["reduce", "dks2msfbc", "-o", "out"], "dks2msfbc")]
+)
+def test_dks_without_k_exits_2(capsys, monkeypatch, tmp_path, graph_file, argv, command):
+    monkeypatch.chdir(tmp_path)
+    status = main([*argv, "-f", graph_file])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {command} requires --k\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_dks2msfbc(capsys, tmp_path, graph_file):
     outdir = tmp_path / "out"
     status, _ = run(capsys, "reduce", "dks2msfbc", "-f", graph_file, "--k", "2", "-o", str(outdir))
@@ -197,6 +209,31 @@ def test_gen_graph_rejects_a_count_out_of_range(capsys, flags, message):
     captured = capsys.readouterr()
     assert status == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-max2sat", "--n", "5", "--m", "6"], ["solve", "cms", "--algo", "local"],
+     ["reduce", "sat2cms", "-o", "out"], ["experiment", "las-vegas"], ["experiment", "fixing-lemma"]],
+)
+def test_seed_outside_64_bits_exits_2(capsys, monkeypatch, tmp_path, cms_file, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    files = {"solve": ["-f", cms_file], "reduce": ["-f", "phi.cnf"]}.get(argv[0], [])
+    status = main([*argv, *files, "--seed", seed])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_is_accepted(capsys, cms_file):
+    largest = str((1 << 64) - 1)
+    status, out = run(capsys, "gen-max2sat", "--n", "5", "--m", "6", "--seed", largest)
+    assert status == 0 and out.startswith("p cnf 5 6")
+    status, out = run(capsys, "solve", "cms", "-f", cms_file, "--algo", "local", "--seed", largest)
+    assert status == 0 and as_dict(out)["seed"] == largest
 
 
 def test_auto_seed_emitted(capsys):
@@ -272,7 +309,7 @@ def test_experiment_quarter_half(capsys):
 
 def test_experiment_las_vegas(capsys):
     status, out = run(
-        capsys, "experiment", "las-vegas", "--n", "3", "--m", "3", "--seed", "4", "--trials", "1"
+        capsys, "experiment", "las-vegas", "--n", "3", "--m", "3", "--seed", "4"
     )
     assert status == 0
     rec = as_dict(out)
@@ -365,6 +402,62 @@ def test_experiment_fixing_lemma_rejects_bad_flags(capsys, flags, message):
     assert main(["experiment", "fixing-lemma", "--seed", "1", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--c", "4"], "error: --c must be at least 5, got 4"), (["--m", "1"], "error: --m must be at least 2, got 1")],
+)
+def test_experiment_inequalities_rejects_bad_flags(capsys, flags, message):
+    assert main(["experiment", "inequalities", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+# each experiment with every option it reads, at values other than its default: its full output
+EXPERIMENT_READS = {
+    "fixing-lemma": (["--n", "3", "--m", "5", "--c", "10", "--trials", "7", "--seed", "2"],
+                     "n=3 m=5 c=10 trials=7 seed=2 failures=0 failure_fraction=0.000000 bound=0.729000 "
+                     "slack=0.276354 within_bound=true"),
+    "quarter-bound": (["--n", "2"], "n=2 min_fraction=0.250000"),
+    "half-bound": (["--n", "2"], "n=2 min_fraction=0.500000"),
+    "inequalities": (["--c", "30", "--m", "50"], "c=30 m_max=50 epsilon_threshold=0.00074571 gap=true "
+                     "structural=true union_bound=true pass=true"),
+    "las-vegas": (["--n", "3", "--m", "5", "--c", "10", "--seed", "4"],
+                  "n=3 m=5 c=10 seed=4 trials=1 satisfied=5 optimum=5"),
+}
+# each experiment with its table defaults (and a seed where it reads one): its full output
+EXPERIMENT_DEFAULTS = {
+    "fixing-lemma": (["--seed", "2"], "n=4 m=4 c=20 trials=100 seed=2 failures=0 failure_fraction=0.000000 "
+                     "bound=0.656100 slack=0.078139 within_bound=true"),
+    "quarter-bound": ([], "n=4 min_fraction=0.250000"),
+    "half-bound": ([], "n=4 min_fraction=0.500000"),
+    "inequalities": ([], "c=20 m_max=4 epsilon_threshold=0.00110988 gap=true structural=true union_bound=true "
+                     "pass=true"),
+    "las-vegas": (["--seed", "4"], "n=4 m=4 c=20 seed=4 trials=1 satisfied=4 optimum=4"),
+}
+EXPERIMENT_OPTIONS = ["--n", "--m", "--c", "--trials", "--seed"]
+
+
+@pytest.mark.parametrize("table", [EXPERIMENT_READS, EXPERIMENT_DEFAULTS], ids=["given", "defaults"])
+@pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+def test_experiment_output_with_the_options_it_reads(capsys, table, name):
+    argv, expected = table[name]
+    status, out = run(capsys, "experiment", name, *argv)
+    assert status == 0 and out.split() == [f"experiment={name}", *expected.split()]
+
+
+@pytest.mark.parametrize(
+    "name, option",
+    [(name, option) for name, (argv, _) in EXPERIMENT_READS.items() for option in EXPERIMENT_OPTIONS
+     if option not in argv],
+)
+def test_experiment_refuses_an_option_it_does_not_read(capsys, monkeypatch, name, option):
+    monkeypatch.setitem(cli.EXPERIMENTS, name, lambda args: pytest.fail("ran the experiment"))
+    status = main(["experiment", name, *EXPERIMENT_READS[name][0], option, "3"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: {option} does not apply to experiment {name}\n"
 
 
 LONG_ROWS = "\n".join(symbol * 15000 for symbol in "01" * 2) + "\n"
@@ -686,6 +779,22 @@ def _argvs(draw):
 @example(["solve", "cms", "-f", "a.txt", "--algo", "local", "--rest", "1", "--seed=3"])
 def test_table_parser_agrees_with_argparse(argv):
     _assert_table_agrees(argv)
+
+
+def test_every_read_by_names_values_of_one_choice_argument():
+    for name, cmd in COMMANDS.items():
+        for opt in cmd.options:
+            if opt.read_by:
+                keys = [o.dest for o in cmd.options if o.choices and set(opt.read_by) <= set(o.choices)]
+                assert len(keys) == 1 and (opt.dest, opt, keys[0]) in cli._grammar(name)[3], opt
+
+
+def test_options_are_applied_after_the_argparse_path_too(capsys):
+    # "--n=3" takes the argv off the table path
+    assert main(["experiment", "half-bound", "--n=3", "--trials", "7"]) == 2
+    assert capsys.readouterr().err == "error: --trials does not apply to experiment half-bound\n"
+    status, out = run(capsys, "experiment", "fixing-lemma", "--n=3", "--m", "3", "--trials", "2", "--seed", "1")
+    assert status == 0 and as_dict(out)["c"] == "20"
 
 
 def test_every_golden_command_takes_the_table_path():

@@ -303,9 +303,9 @@ class TestInequalities:
         assert lhs <= 0.9**10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^--c must be at least 5, got 4$"):
             inequality_checks(4, 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^--m must be at least 2, got 1$"):
             inequality_checks(20, 1)
 
 
