@@ -30,12 +30,16 @@ from .formats import (
 from .words import CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, anticoverage, bad_columns, coverage, hamming
 
 
+def _seed_in_range(seed: int, what: str) -> int:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{what} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _resolve_seed(args) -> tuple[int, bool]:
     """(seed, was_auto_drawn)."""
     if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 1 << 64:
-            raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
-        return args.seed, False
+        return _seed_in_range(args.seed, "--seed"), False
     # imported here, not at the top: secrets loads hashlib and OpenSSL's
     # libcrypto, a few MB of resident memory that a run with --seed never uses
     import secrets
@@ -197,7 +201,7 @@ def _oracle(spec: str):
         except ValueError:
             pass
         else:
-            return fpt.make_inflating_oracle(seed)
+            return fpt.make_inflating_oracle(_seed_in_range(seed, "--oracle seed"))
     raise ValueError(f"unknown oracle {spec!r}; use 'exact' or 'inflate:<seed>'")
 
 

@@ -8,6 +8,7 @@ valid object.
 from __future__ import annotations
 
 from dataclasses import fields
+from typing import NamedTuple
 
 from .reductions import Graph, Literal, Max2SatInstance, ReductionCertificate
 from .words import (
@@ -101,38 +102,57 @@ def serialize_strings_instance(inst) -> str:
     return f"strings {sset.alphabet.size} {sset.length} {sset.size}\nparam {letter} {getattr(inst, letter)}\n{rows}\n"
 
 
-def parse_cnf(text: str) -> Max2SatInstance:
-    """DIMACS-style 2-CNF: header ``p cnf <n> <m>`` then clause lines
-    ``<lit> <lit> 0``. Tautological clauses are rejected."""
+class _Dimacs(NamedTuple):
+    """A DIMACS challenge format (Johnson and Trick, 1996): a ``header`` ``p <kind> <a> <b>`` with ``counts`` the (name,
+    least value) of a and b, then ``noun`` lines of ``shape``: a marker at ``marker_at`` (0 or 2) and two ``value``s."""
+
+    header: str
+    counts: tuple
+    noun: str
+    shape: str
+    marker_at: int
+    value: str
+
+
+def _read_dimacs(text: str, fmt: _Dimacs, item, build):
+    """``build(the header's first count, (item(a, b) per item line))``, skipping blank lines and ``c`` comments.
+    An item's :class:`ItemError` names its line ahead of a wrong item count; with no items, only the count is wrong."""
     lines = _lines(text)
-    n = m = None
-    clauses, clause_lines = [], []
+    kind, at, marker = fmt.header.split()[1], fmt.marker_at, fmt.shape.split()[fmt.marker_at]
+    promised, items, item_lines = None, [], []
     for lineno, ln in enumerate(lines, start=1):
         if not ln or ln.startswith("c"):
             continue
-        if ln.startswith("p"):
-            if n is not None:
-                raise ParseError(lineno, "a second 'p cnf' header")
-            parts = ln.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(lineno, f"expected 'p cnf <n> <m>', got {ln!r}")
-            n, m = _int(parts[2], lineno, "variable count", 1), _int(parts[3], lineno, "clause count", 1)
-            continue
-        if n is None:
-            raise ParseError(lineno, "clause line before 'p cnf' header")
         parts = ln.split()
-        if len(parts) != 3 or parts[2] != "0":
-            raise ParseError(lineno, f"expected '<lit> <lit> 0', got {ln!r}")
-        a, b = (_int(tok, lineno, "literal") for tok in parts[:2])
-        clauses.append((Literal(abs(a), a > 0), Literal(abs(b), b > 0)))
-        clause_lines.append(lineno)
-    if n is None:
-        raise ParseError(len(lines) or 1, "missing 'p cnf' header")
-    # a bad clause names its line ahead of a wrong count; no clause at all (m >= 1) is a wrong count
-    phi = _checked(lambda: Max2SatInstance(variable_count=n, clauses=tuple(clauses)), clause_lines) if clauses else None
-    if len(clauses) != m:
-        raise ParseError(len(lines), f"header promises {m} clauses, found {len(clauses)}")
-    return phi
+        if ln.startswith("p"):
+            if promised is not None:
+                raise ParseError(lineno, f"a second 'p {kind}' header")
+            if len(parts) != 4 or parts[1] != kind:
+                raise ParseError(lineno, f"expected {fmt.header!r}, got {ln!r}")
+            first, promised = (_int(tok, lineno, name, least) for tok, (name, least) in zip(parts[2:], fmt.counts))
+        elif promised is None:
+            raise ParseError(lineno, f"{fmt.noun} line before 'p {kind}' header")
+        elif len(parts) != 3 or parts[at] != marker:
+            raise ParseError(lineno, f"expected {fmt.shape!r}, got {ln!r}")
+        else:
+            items.append(item(_int(parts[at - 2], lineno, fmt.value), _int(parts[at - 1], lineno, fmt.value)))
+            item_lines.append(lineno)
+    if promised is None:
+        raise ParseError(len(lines) or 1, f"missing 'p {kind}' header")
+    built = _checked(lambda: build(first, tuple(items)), item_lines) if items or not promised else None
+    if len(items) != promised:
+        raise ParseError(len(lines), f"header promises {promised} {fmt.noun}s, found {len(items)}")
+    return built
+
+
+_CNF = _Dimacs("p cnf <n> <m>", (("variable count", 1), ("clause count", 1)), "clause", "<lit> <lit> 0", 2, "literal")
+_EDGES = _Dimacs("p edge <V> <E>", (("vertex count", 0), ("edge count", 0)), "edge", "e <u> <v>", 0, "endpoint")
+
+
+def parse_cnf(text: str) -> Max2SatInstance:
+    """DIMACS-style 2-CNF: header ``p cnf <n> <m>`` then clause lines
+    ``<lit> <lit> 0``. Tautological clauses are rejected."""
+    return _read_dimacs(text, _CNF, lambda a, b: (Literal(abs(a), a > 0), Literal(abs(b), b > 0)), Max2SatInstance)
 
 
 def serialize_cnf(phi: Max2SatInstance) -> str:
@@ -146,36 +166,7 @@ def serialize_cnf(phi: Max2SatInstance) -> str:
 
 def parse_graph(text: str) -> Graph:
     """DIMACS edge format: ``p edge <V> <E>`` then lines ``e <u> <v>``."""
-    lines = _lines(text)
-    v = e = None
-    edges, edge_lines = [], []
-    for lineno, ln in enumerate(lines, start=1):
-        if not ln or ln.startswith("c"):
-            continue
-        if ln.startswith("p"):
-            if v is not None:
-                raise ParseError(lineno, "a second 'p edge' header")
-            parts = ln.split()
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(lineno, f"expected 'p edge <V> <E>', got {ln!r}")
-            v, e = _int(parts[2], lineno, "vertex count", 0), _int(parts[3], lineno, "edge count", 0)
-            continue
-        if not ln.startswith("e "):
-            raise ParseError(lineno, f"expected 'e <u> <v>', got {ln!r}")
-        if v is None:
-            raise ParseError(lineno, "edge line before 'p edge' header")
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError(lineno, f"expected 'e <u> <v>', got {ln!r}")
-        a, b = _int(parts[1], lineno, "endpoint"), _int(parts[2], lineno, "endpoint")
-        edges.append((min(a, b), max(a, b)))
-        edge_lines.append(lineno)
-    if v is None:
-        raise ParseError(len(lines) or 1, "missing 'p edge' header")
-    graph = _checked(lambda: Graph(vertex_count=v, edges=tuple(edges)), edge_lines)
-    if len(edges) != e:
-        raise ParseError(len(lines), f"header promises {e} edges, found {len(edges)}")
-    return graph
+    return _read_dimacs(text, _EDGES, lambda a, b: (min(a, b), max(a, b)), Graph)
 
 
 def serialize_graph(g: Graph) -> str:

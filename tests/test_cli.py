@@ -246,6 +246,8 @@ def test_decide_cks(capsys, tmp_path):
     p.write_text("strings 2 3 3\nparam k 2\n000\n011\n111\n")
     status, out = run(capsys, "decide-cks", "-f", str(p), "--d", "1", "--oracle", "inflate:3")
     assert status == 0 and as_dict(out)["answer"] == "yes"
+    status, out = run(capsys, "decide-cks", "-f", str(p), "--d", "1", "--oracle", f"inflate:{2**64 - 1}")
+    assert status == 0 and as_dict(out)["answer"] == "yes"
     status, out = run(capsys, "decide-cks", "-f", str(p), "--d", "0")
     assert status == 0 and as_dict(out)["answer"] == "no"
 
@@ -258,6 +260,16 @@ def test_decide_cks_rejects_an_unknown_oracle(capsys, tmp_path, oracle):
     captured = capsys.readouterr()
     assert status == 2 and captured.out == ""
     assert captured.err == f"error: unknown oracle {oracle!r}; use 'exact' or 'inflate:<seed>'\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_decide_cks_refuses_an_oracle_seed_outside_64_bits(capsys, tmp_path, seed):
+    p = tmp_path / "cks.txt"
+    p.write_text("strings 2 3 3\nparam k 2\n000\n011\n111\n")
+    status = main(["decide-cks", "-f", str(p), "--d", "1", "--oracle", f"inflate:{seed}"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == f"error: --oracle seed must be in [0, 2^64), got {seed}\n"
 
 
 @pytest.mark.parametrize(
@@ -748,13 +760,14 @@ _VALUES = {int: st.integers(0, 99).map(str), str: st.sampled_from(["a.txt", "out
 
 @st.composite
 def _argvs(draw):
-    """A canonical argv drawn from :data:`COMMANDS` (required arguments, some optional ones, any
+    """A canonical argv drawn from :data:`COMMANDS` (the arguments required everywhere, some others, any
     order), then up to three edits: a token inserted, replaced or deleted, a token joined to the
-    next by "=" (``--seed=3``), or a token's last character dropped (``--restart``)."""
+    next by "=" (``--seed=3``), or a token's last character dropped (``--restart``). An option
+    required only where its ``read_by`` says is drawn like any other, as both parsers treat it."""
     name = draw(st.sampled_from(list(COMMANDS)))
     groups = []
     for opt in COMMANDS[name].options:
-        if opt.required or draw(st.booleans()):
+        if (opt.required and not opt.read_by) or draw(st.booleans()):
             flags = opt.flags.split()
             values = st.sampled_from(opt.choices) if opt.choices else _VALUES.get(opt.type)
             value = [] if opt.type is bool else [draw(values)]

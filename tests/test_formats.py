@@ -3,7 +3,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_solvers as ref
@@ -33,6 +33,27 @@ def string_instances(draw):
     kind = draw(st.sampled_from([CmsInstance, FfmsInstance, CksInstance, MsfbcInstance]))
     value = draw(st.integers(1, n) if kind is CksInstance else st.integers(0, length))
     return kind(StringSet.from_texts(rows, Alphabet(sigma)), value), rows
+
+
+# comment and blank lines, each with the index among the item lines it is inserted at (modulo their count + 1)
+INSERTS = st.lists(
+    st.tuples(st.integers(0, 64), st.sampled_from(["", "   ", "c", "c a comment", "c 1 2 0", "\tc e 1 2"])), max_size=8
+)
+
+
+def padded(text, inserts):
+    """``text`` with the lines of ``inserts`` placed among its item lines, after its header line."""
+    header, *items = text.splitlines()
+    for at, line in inserts:
+        items.insert(at % (len(items) + 1), line)
+    return "\n".join([header, *items]) + "\n"
+
+
+@st.composite
+def graphs(draw):
+    vertices = draw(st.integers(0, 8))
+    edges = draw(st.integers(0, comb(vertices, 2)))
+    return random_graph(vertices, edges, seed=draw(st.integers(0, 2**64 - 1)))
 
 
 class TestStringsFormat:
@@ -178,6 +199,34 @@ class TestCnfFormat:
             phi = random_max2sat(4, 7, seed=seed)
             assert parse_cnf(serialize_cnf(phi)) == phi
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("x y z\np cnf 2 1\n", 1, "clause line before 'p cnf' header"),
+            ("1 2 0\np cnf 2 1\n", 1, "clause line before 'p cnf' header"),
+            ("p cnf 2 1\n1 2\n", 2, "expected '<lit> <lit> 0', got '1 2'"),
+            ("p cnf 2 1\n\n1 2 3\n", 3, "expected '<lit> <lit> 0', got '1 2 3'"),
+            ("p cnf 2\n", 1, "expected 'p cnf <n> <m>', got 'p cnf 2'"),
+            ("c\np edge 2 1\n", 2, "expected 'p cnf <n> <m>', got 'p edge 2 1'"),
+            ("", 1, "missing 'p cnf' header"),
+            ("c only\n\n", 2, "missing 'p cnf' header"),
+            ("p cnf 2 1\n", 1, "header promises 1 clauses, found 0"),
+            ("p cnf 2 1\n1 2 0\n-1 2 0\n", 3, "header promises 1 clauses, found 2"),
+            ("p cnf 2 2\n1 -1 0\n", 2, "clause 1 is a tautology (x and ~x on variable 1)"),
+            ("p cnf 2 3x\n", 1, "clause count must be an integer, got '3x'"),
+        ],
+    )
+    def test_error_table(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_cnf(text)
+        assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 24), st.integers(0, 2**64 - 1), INSERTS)
+    def test_round_trip_with_comments_and_blank_lines(self, n, m, seed, inserts):
+        phi = random_max2sat(n, m, seed=seed)
+        assert parse_cnf(padded(serialize_cnf(phi), inserts)) == phi
+
 
 class TestGraphFormat:
     def test_k3(self):
@@ -228,10 +277,45 @@ class TestGraphFormat:
     def test_empty_graph(self):
         assert parse_graph("p edge 0 0\n") == Graph(0, ())
 
+    def test_tokens_split_on_any_whitespace(self):
+        # both formats share one line reader, so an edge line splits on tabs as a clause line does
+        assert parse_graph("p edge 2 1\ne\t1\t2\n") == parse_graph("p\tedge 2 1\ne 1 2\n")
+        assert parse_cnf("p cnf 2 1\n1\t-2\t0\n") == parse_cnf("p cnf 2 1\n1 -2 0\n")
+
     def test_round_trip(self):
         for seed in range(5):
             g = random_graph(6, 8, seed=seed)
             assert parse_graph(serialize_graph(g)) == g
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("e 1 2\np edge 3 1\n", 1, "edge line before 'p edge' header"),
+            ("p edge 3 1\ne 1 2 3\n", 2, "expected 'e <u> <v>', got 'e 1 2 3'"),
+            ("p edge 3 1\nc\ne 1\n", 3, "expected 'e <u> <v>', got 'e 1'"),
+            ("p edge 3 1\nx 1 2\n", 2, "expected 'e <u> <v>', got 'x 1 2'"),
+            ("p edge 3\n", 1, "expected 'p edge <V> <E>', got 'p edge 3'"),
+            ("p cnf 3 1\n", 1, "expected 'p edge <V> <E>', got 'p cnf 3 1'"),
+            ("c only\n", 1, "missing 'p edge' header"),
+            ("", 1, "missing 'p edge' header"),
+            ("p edge 3 2\ne 1 2\n", 2, "header promises 2 edges, found 1"),
+            ("p edge 3 1\n", 1, "header promises 1 edges, found 0"),
+            ("p edge 3 2\ne 1 1\n", 2, "loop edge (1,1) not allowed in a simple graph"),
+            ("p edge 3 1\ne 1 2\ne 1 3\n", 3, "header promises 1 edges, found 2"),
+            # the one message the shared reader changed: a line before the header is refused for its place first
+            ("x 1 2\np edge 3 1\n", 1, "edge line before 'p edge' header"),
+        ],
+    )
+    def test_error_table(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), INSERTS)
+    @example(random_graph(0, 0, seed=1), [(0, "c"), (0, "")])
+    def test_round_trip_with_comments_and_blank_lines(self, g, inserts):
+        assert parse_graph(padded(serialize_graph(g), inserts)) == g
 
 
 class TestCertificate:
