@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .words import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet, Word, bad_columns
+from .words import Alphabet, CksInstance, CmsInstance, FfmsInstance, MsfbcInstance, StringSet, Word
 
 DEFAULT_ENUM_BUDGET = 2**24
 DEFAULT_SUBSET_BUDGET = 2**20
@@ -380,9 +380,8 @@ def solve_msfbc_columns(inst: MsfbcInstance) -> SubsetResult:
         group = min(map(tuple, order[rows[pick, None], starts[pick, None] + np.arange(size)].tolist()))
         if size > best_size or group < best:
             best_size, best = size, group
-    words = inst.set.words
-    bad = bad_columns([words[i] for i in best])
-    return SubsetResult(indices=best, bad_column_count=len(bad))
+    chosen = symbol_matrix(inst.set)[list(best)]
+    return SubsetResult(indices=best, bad_column_count=int((chosen != chosen[0]).any(axis=0).sum()))
 
 
 def solve_max2sat_exact(phi):

@@ -1,14 +1,15 @@
 """Verification campaigns for the probabilistic and arithmetic claims behind
 the Max-2-SAT reduction: the fixing-string structural property, its per-pair
-probability bounds, the gap and union-bound inequalities (decided in closed
-form, for every m and n), and the Las-Vegas retry loop.
+probability bounds and the gap and union-bound inequalities (both decided in
+closed form, the bounds for every n and the inequalities for every m and n),
+and the Las-Vegas retry loop.
 
 Words are manipulated as packed integers here (blocks are adjacent bit
 pairs), which keeps the exhaustive enumerations fast enough to run in CI.
-Every check of the structural property reads one far table per n. A
-campaign scores a block of trials with one draw of all their fixing strings
-and one product with that table, and re-scores trial 0 on its own through
-:func:`lemma_fixing_trial`.
+Every check of a concrete fixing set reads one far table per n, up to
+``MAX_N``. A campaign scores a block of trials with one draw of all their
+fixing strings and one product with that table, and re-scores trial 0 on its
+own through :func:`lemma_fixing_trial`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def all_fixing_words(n: int) -> np.ndarray:
 def _check_n(n: int):
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
+
+
+def _check_far_table(n: int):
+    _check_n(n)
     exact.check_budget("the far table", f"4^{n} words", ("^", 4, n), 4**MAX_N)
 
 
@@ -95,7 +100,7 @@ def structural_property_holds(fixing: StringSet, n: int, m: int):
     has a row in the far table: turning a 11 block into 00 would give a
     smaller word with the same far count.
     """
-    _check_n(n)
+    _check_far_table(n)
     rows = symbol_matrix(fixing)
     if not fixing.alphabet.is_binary or fixing.length != 2 * n or (rows[:, 0::2] == rows[:, 1::2]).any():
         raise ValueError(f"fixing strings must lie in {{01,10}}^{n}")
@@ -121,7 +126,7 @@ def _check_trial(n: int, m: int, c: int):
     """Reject a trial's parameters before anything is drawn."""
     if c < 1:
         raise ValueError(f"--c must be at least 1, got {c}")
-    _check_n(n)
+    _check_far_table(n)
     if m < n:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
     _check_fixing_count(c * m)
@@ -235,47 +240,35 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     return report
 
 
+def _least_far_fraction(n: int, opposed: int) -> float:
+    """The least fraction, over non-canonical words s of length 2n, of fixing
+    strings f at distance > n from s, among the f that oppose s at ``opposed``
+    (0 or 1) given blocks of J, the set of s's 01 and 10 blocks.
+
+    f is at distance 1 from each block of s outside J and 0 or 2 from each in
+    J, so d(s, f) = (n - |J|) + 2i, with i the blocks of J where f opposes s:
+    d > n iff i > |J|/2. For |J| = j the fraction is P[opposed + Bin(j -
+    opposed, 1/2) > j/2], least over 1 <= j <= n at j <= 2. Unconditioned, an
+    odd j gives 1/2 and an even j (1 - C(j, j/2)/2^j)/2, which grows from 1/4
+    at j = 2; conditioned, an even j gives 1/2 and an odd j more. So the
+    bounds are 1/2 and 1 at n = 1 and 1/4 and 1/2 for every larger n. Each is
+    an integer count over 2^(j - opposed) <= 4, which a float holds exactly."""
+    _check_n(n)
+    return min(sum(math.comb(j - opposed, i - opposed) for i in range(j // 2 + 1, j + 1)) / 2 ** (j - opposed)
+               for j in range(1, min(n, 2) + 1))
+
+
 def per_pair_quarter_bound(n: int) -> float:
     """Exact minimum over all non-canonical s of the fraction of fixing
     strings at distance >= n+1; must be >= 1/4."""
-    _check_n(n)
-    _, fixing, far = _far_table(n)
-    return float(far.sum(axis=1).min()) / len(fixing)
+    return _least_far_fraction(n, 0)
 
 
 def conditional_half_bound(n: int) -> float:
     """Exact minimum conditional fraction: for every non-canonical s and
     every mismatched block of s, restrict to fixing strings whose block there
-    opposes s's, and measure the fraction at distance >= n+1; must be >= 1/2.
-
-    Half of the fixing strings oppose s at a given block. For each block t,
-    one mat-vec of the far table with the indicator of block t being 10
-    counts, for every s at once, the far strings holding 10 there; the row
-    sum less that count gives those holding 01."""
-    _check_n(n)
-    words, fixing, far = _far_table(n)
-    shifts = 2 * np.arange(n, dtype=np.uint32)
-    s_blocks = words[:, None] >> shifts & 0b11
-    holds_10 = (fixing >> shifts[:, None] & 0b11 == 0b10).astype(np.float32)
-    # mat-vecs, not one matrix product: that would map a ~40 MB BLAS buffer
-    far_10 = np.stack([far @ column for column in holds_10], axis=1)
-    opposing = np.where(s_blocks == 0b01, far_10, far.sum(axis=1, keepdims=True) - far_10)
-    mismatched = (s_blocks == 0b01) | (s_blocks == 0b10)
-    return float(opposing[mismatched].min()) / (len(fixing) // 2)
-
-
-def conditional_distance_distribution(s_bits: int, block: int, n: int) -> dict:
-    """Histogram of d(s, f) over fixing strings f whose block ``block``
-    opposes s's mismatched block there; symmetric about n+1."""
-    f_arr = all_fixing_words(n)
-    sblock = (s_bits >> (2 * block)) & 0b11
-    if sblock in (0b00, 0b11):
-        raise ValueError("designated block must be mismatched (01 or 10)")
-    opposing = 0b11 ^ sblock
-    cond = f_arr[((f_arr >> (2 * block)) & 0b11) == opposing]
-    dist = np.bitwise_count(np.uint32(s_bits) ^ cond)
-    values, freq = np.unique(dist, return_counts=True)
-    return {int(v): int(f) for v, f in zip(values, freq)}
+    opposes s's, and measure the fraction at distance >= n+1; must be >= 1/2."""
+    return _least_far_fraction(n, 1)
 
 
 @dataclass

@@ -26,7 +26,11 @@ The fixing-string references draw one ``next_bit()`` per block and score
 each trial of a campaign, and each (word, block) pair of the half bound, on
 its own, over every non-canonical word, where ``strsel`` draws the bits of a
 block of trials at once and scores them with one product against the far
-table of n, which holds one row per block class. The gap and union-bound
+table of n, which holds one row per block class. The quarter and half bounds,
+which ``strsel`` decides in closed form for every n, are also read here from
+that far table, as its row sums and one mat-vec per block, for n <= 8; and
+the conditional distance histogram of one (word, block) pair is counted
+directly over the fixing words. The gap and union-bound
 checks evaluate every (m, k) pair and every n up to a bound in floats, where
 ``strsel`` decides both in closed form for all m and n. The certificate
 references at the end build one (index, kind, ref) entry per generated
@@ -41,6 +45,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from strsel import experiments
 from strsel.exact import (
     DEFAULT_SUBSET_BUDGET,
     BudgetExceededError,
@@ -387,6 +392,43 @@ def conditional_half_bound(n: int) -> float:
             dist = np.bitwise_count(np.uint32(s) ^ cond)
             minimum = min(minimum, float((dist >= n + 1).sum()) / len(cond))
     return minimum
+
+
+def far_table_quarter_bound(n: int) -> float:
+    """The quarter bound as the smallest row sum of ``experiments._far_table(n)``."""
+    _, fixing, far = experiments._far_table(n)
+    return float(far.sum(axis=1).min()) / len(fixing)
+
+
+def far_table_half_bound(n: int) -> float:
+    """The half bound from ``experiments._far_table(n)``. Half of the fixing
+    strings oppose s at a given block. For each block t, one mat-vec of the
+    far table with the indicator of block t being 10 counts, for every s at
+    once, the far strings holding 10 there; the row sum less that count gives
+    those holding 01."""
+    words, fixing, far = experiments._far_table(n)
+    shifts = 2 * np.arange(n, dtype=np.uint32)
+    s_blocks = words[:, None] >> shifts & 0b11
+    holds_10 = (fixing >> shifts[:, None] & 0b11 == 0b10).astype(np.float32)
+    # mat-vecs, not one matrix product: that would map a ~40 MB BLAS buffer
+    far_10 = np.stack([far @ column for column in holds_10], axis=1)
+    opposing = np.where(s_blocks == 0b01, far_10, far.sum(axis=1, keepdims=True) - far_10)
+    mismatched = (s_blocks == 0b01) | (s_blocks == 0b10)
+    return float(opposing[mismatched].min()) / (len(fixing) // 2)
+
+
+def conditional_distance_distribution(s_bits: int, block: int, n: int) -> dict:
+    """Histogram of d(s, f) over fixing strings f whose block ``block``
+    opposes s's mismatched block there; symmetric about n+1."""
+    f_arr = all_fixing_words(n)
+    sblock = (s_bits >> (2 * block)) & 0b11
+    if sblock in (0b00, 0b11):
+        raise ValueError("designated block must be mismatched (01 or 10)")
+    opposing = 0b11 ^ sblock
+    cond = f_arr[((f_arr >> (2 * block)) & 0b11) == opposing]
+    dist = np.bitwise_count(np.uint32(s_bits) ^ cond)
+    values, freq = np.unique(dist, return_counts=True)
+    return {int(v): int(f) for v, f in zip(values, freq)}
 
 
 def gap_failures(c: int, m_max: int, eps_grid) -> list:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden_cli import _commands as golden_commands
 
-from strsel import cli, exact, heuristics
+from strsel import cli, exact, experiments, heuristics
 from strsel.cli import COMMANDS, build_parser, main
 
 K3 = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -317,6 +317,16 @@ def test_experiment_quarter_half(capsys):
     assert status == 0 and float(as_dict(out)["min_fraction"]) >= 0.25
     status, out = run(capsys, "experiment", "half-bound", "--n", "3")
     assert status == 0 and float(as_dict(out)["min_fraction"]) >= 0.5
+
+
+@pytest.mark.parametrize("name, fraction", [("quarter-bound", "0.250000"), ("half-bound", "0.500000")])
+def test_experiment_bounds_answer_any_n_at_once_without_the_far_table(capsys, name, fraction):
+    tables = experiments._far_table.cache_info()
+    started = time.perf_counter()
+    status, out = run(capsys, "experiment", name, "--n", "1000000")
+    assert time.perf_counter() - started < 1.0
+    assert status == 0 and out.split() == [f"experiment={name}", "n=1000000", f"min_fraction={fraction}"]
+    assert experiments._far_table.cache_info() == tables
 
 
 def test_experiment_las_vegas(capsys):
@@ -648,6 +658,24 @@ def test_solve_max2sat_recheck_is_independent_of_the_solver(capsys, tmp_path, mo
     satisfied_count = Max2SatInstance.satisfied_count
     monkeypatch.setattr(Max2SatInstance, "satisfied_count", lambda self, a: satisfied_count(self, a) + 1)
     status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
+    assert status == 1 and as_dict(out)["recheck"] == "fail"
+
+
+def test_solve_msfbc_columns_recheck_is_independent_of_the_solver(capsys, tmp_path, monkeypatch):
+    from strsel import words
+
+    p = tmp_path / "msfbc.txt"
+    # all three words differ in one column only, so one more still fits k = 2
+    p.write_text("strings 2 4 3\nparam k 2\n0000\n0001\n0000\n")
+    argv = ["solve", "msfbc", "--algo", "columns", "-f", str(p), "--recheck"]
+    status, out = run(capsys, *argv)
+    assert status == 0 and as_dict(out)["recheck"] == "ok"
+    # bad_columns reports one column too many; a solver that counted through it
+    # would agree with the recheck
+    bad_columns = words.bad_columns
+    for module in (cli, exact):
+        monkeypatch.setattr(module, "bad_columns", lambda group: bad_columns(group) | {-1}, raising=False)
+    status, out = run(capsys, *argv)
     assert status == 1 and as_dict(out)["recheck"] == "fail"
 
 

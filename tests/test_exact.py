@@ -304,8 +304,8 @@ BUDGET_SITES = {
     "sat2cms rows": (reductions, "MAX_REDUCTION_ROWS", 84,
                      lambda: reductions.reduce_max2sat_to_cms(random_max2sat(3, 4, seed=0), c=20, seed=1),
                      "the reduction needs (c+1)*m = 84 strings, above the budget of 83"),
-    # an exponent too: 4^MAX_N words
-    "far table": (experiments, "MAX_N", 3, lambda: experiments.per_pair_quarter_bound(3),
+    # an exponent too: 4^MAX_N words, read where a fixing set is scored
+    "far table": (experiments, "MAX_N", 3, lambda: experiments.lemma_fixing_trial(3, 3, 1, seed=0),
                   "the far table needs 4^3 words, above the budget of 16"),
     # an exclusive bound: the budget is _FLOAT32_EXACT - 1 strings
     "fixing count": (experiments, "_FLOAT32_EXACT", 7, lambda: experiments.lemma_fixing_trial(3, 3, 2, seed=0),

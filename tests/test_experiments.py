@@ -4,6 +4,7 @@ pure-Python oracles."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from strsel.exact import BudgetExceededError, solve_max2sat_exact
 from strsel.experiments import (
     TrialOutcome,
     all_fixing_words,
-    conditional_distance_distribution,
     conditional_half_bound,
     gap_holds,
     inequality_checks,
@@ -88,6 +88,36 @@ def test_bounds_equal_the_per_pair_references(n):
     assert conditional_half_bound(n) == ref.conditional_half_bound(n)
 
 
+@pytest.mark.parametrize("n", range(1, experiments.MAX_N + 1))
+def test_bounds_equal_the_far_table_scans(n):
+    assert per_pair_quarter_bound(n) == ref.far_table_quarter_bound(n)
+    assert conditional_half_bound(n) == ref.far_table_half_bound(n)
+
+
+def test_bounds_equal_the_least_binomial_tail_over_every_j():
+    # a word with j mismatched blocks: P[Bin(j, 1/2) > j/2] of all fixing strings are far,
+    # P[1 + Bin(j - 1, 1/2) > j/2] of those that oppose it at one of them
+    quarter = half = 1
+    for j in range(1, 201):
+        quarter = min(quarter, Fraction(sum(math.comb(j, x) for x in range(j + 1) if 2 * x > j), 2**j))
+        half = min(half, Fraction(sum(math.comb(j - 1, y) for y in range(j) if 2 * (1 + y) > j), 2 ** (j - 1)))
+        # now the least over 1 <= j <= n, for n = j
+        assert (per_pair_quarter_bound(j), conditional_half_bound(j)) == (quarter, half), j
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conditional_distances_follow_the_binomial_law(n):
+    # opposing s at one of its j mismatched blocks, f is at distance (n - j) + 2(1 + i)
+    # from s for C(j - 1, i) of the 2^(n-1) such f
+    for s in ref.noncanonical_words(n).tolist():
+        blocks = [s >> 2 * t & 0b11 for t in range(n)]
+        mismatched = [t for t, block in enumerate(blocks) if block in (0b01, 0b10)]
+        j = len(mismatched)
+        law = {n - j + 2 * (1 + i): math.comb(j - 1, i) * 2 ** (n - j) for i in range(j)}
+        for t in mismatched:
+            assert ref.conditional_distance_distribution(s, t, n) == law, (s, t)
+
+
 @given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**64 - 1))
 def test_fixing_strings_equal_the_per_bit_reference(count, n, seed):
     assert fixing_strings(count, n, seed) == ref.fixing_strings(count, n, seed)
@@ -136,8 +166,14 @@ class TestQuarterBound:
         assert per_pair_quarter_bound(2) == minimum
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            per_pair_quarter_bound(9)
+        # no far-table budget: past MAX_N both bounds are decided without the table
+        tables = experiments._far_table.cache_info()
+        for n in (9, 64, 10**6):
+            assert per_pair_quarter_bound(n) == 0.25 and conditional_half_bound(n) == 0.5
+        assert experiments._far_table.cache_info() == tables
+        for bound in (per_pair_quarter_bound, conditional_half_bound):
+            with pytest.raises(ValueError, match=r"^--n must be at least 1, got 0$"):
+                bound(0)
 
 
 class TestHalfBound:
@@ -154,7 +190,7 @@ class TestHalfBound:
                 for i in range(n):
                     if s[2 * i] == s[2 * i + 1]:
                         continue
-                    hist = conditional_distance_distribution(s.bits, n - 1 - i, n)
+                    hist = ref.conditional_distance_distribution(s.bits, n - 1 - i, n)
                     for d, count in hist.items():
                         assert hist.get(2 * (n + 1) - d) == count
                     break
