@@ -223,7 +223,7 @@ def lemma_fixing_campaign(n: int, m: int, c: int, trials: int, seed: int) -> Tri
     _check_trial(n, m, c)
     # each trial draws c*m fixing strings of n bits
     work = f"{trials}*{c}*{m}*{n} fixing draws"
-    exact.check_budget("fixing campaign", work, trials * c * m * n, exact.DEFAULT_CLAUSE_TESTS)
+    exact.check_budget("fixing campaign", work, trials * c * m * n, exact.DEFAULT_WORK_BUDGET)
     report = TrialReport(trials=trials)
     if trials == 0:
         return report

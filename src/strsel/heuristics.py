@@ -97,7 +97,7 @@ def _climb(words_t: np.ndarray, sigma: int, score, centers: np.ndarray, max_iter
 def _local_search(sset: StringSet, score, rescore, cfg: SearchConfig) -> CenterResult:
     # each restart climbs on one mismatch cell per (position, word) pair
     work = f"{cfg.restarts}*{sset.length}*{sset.size} mismatch cells"
-    exact.check_budget("hill climbing", work, cfg.restarts * sset.length * sset.size, exact.DEFAULT_CLAUSE_TESTS)
+    exact.check_budget("hill climbing", work, cfg.restarts * sset.length * sset.size, exact.DEFAULT_WORK_BUDGET)
     words_t = np.ascontiguousarray(symbol_matrix(sset).T)
     step = block_rows(words_t)
     best = None

@@ -16,6 +16,12 @@ differential oracle for the fast paths: those must return equal results,
 ``CenterResult`` and ``SubsetResult`` values and (answer, count) pairs,
 including the lexicographic tie-breaks.
 
+:func:`solve_max2sat_clause_tests` is the numpy Max-2-SAT enumeration that
+tested every clause under every assignment, 2^n·m tests, before
+``strsel.exact`` summed three falsified-clause tables of a split and list,
+2^n additions. It shares no code with either, and it covers n <= 20 at
+any clause count the tests use, which the per-assignment loop cannot.
+
 The numpy CkS scorer, :func:`sorted_radii`, is the one ``strsel.exact``
 used before it decided radii by coverage counts: a symbol-matrix column loop
 for the distances and a stable sort of each center's row for its k-th
@@ -309,6 +315,31 @@ def solve_max2sat_exact(phi: Max2SatInstance):
         if count > best_count:
             best, best_count = assignment, count
     return best, best_count
+
+
+def solve_max2sat_clause_tests(phi: Max2SatInstance):
+    """The numpy enumeration that ``strsel.exact`` replaced with its split and
+    list: blocks of assignment indices, each tested against every clause. With
+    variable v as bit n - v of the index and True as 1, a clause is false
+    exactly when the index, masked to its variables' bits, equals the bits
+    that make both its literals false. The first maximum of m minus the false
+    clauses wins."""
+    n, m = phi.variable_count, phi.clause_count
+    mask, false = [], []
+    for a, b in phi.clauses:
+        x, y = 1 << n - a.variable, 1 << n - b.variable
+        mask.append(x | y)
+        false.append((not a.positive) * x | (not b.positive) * y)
+    mask, false = np.array(mask, dtype=np.int64), np.array(false, dtype=np.int64)
+    step = max(1, (1 << 20) // m)
+    best_index, best = None, -1
+    for lo in range(0, 1 << n, step):
+        ids = np.arange(lo, min(lo + step, 1 << n), dtype=np.int64)
+        counts = m - (ids[:, None] & mask == false).sum(axis=1)
+        i = int(counts.argmax())
+        if counts[i] > best:
+            best_index, best = lo + i, int(counts[i])
+    return tuple(bool(best_index >> n - v & 1) for v in range(1, n + 1)), best
 
 
 def solve_dks_exact(graph: Graph, k: int):

@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -526,10 +527,6 @@ def test_exponential_work_is_refused_at_once(capsys, tmp_path, argv, text, work)
                      id="dks entries"),
         pytest.param(["gen-max2sat", "--n", "10", "--m", "1000000000", "--seed", "1", "-o", "out"], None,
                      "Max-2-SAT generation needs 1000000000 clauses, above the budget of 1048576", id="gen-max2sat"),
-        # 2^24 assignments pass the assignment budget; testing 512 clauses on each does not
-        pytest.param(["solve", "max2sat"], "p cnf 24 512\n" + "1 -2 0\n" * 512,
-                     "assignment enumeration needs 2^24*512 clause tests, above the budget of 4294967296",
-                     id="max2sat clause tests"),
         pytest.param(["solve", "cms", "--algo", "local", "--restarts", "1000000000000", "--seed", "1"],
                      "strings 2 4 3\nparam d 1\n0000\n0110\n1111\n",
                      "hill climbing needs 1000000000000*4*3 mismatch cells, above the budget of 4294967296",
@@ -553,6 +550,24 @@ def test_work_linear_in_a_huge_count_is_refused_at_once(capsys, monkeypatch, tmp
     assert status == 2 and captured.out == "" and captured.err == f"resource error: {refusal}\n"
     assert elapsed < 1.0
     assert not (tmp_path / "out").exists()
+
+
+def test_max2sat_work_does_not_grow_with_the_clauses(capsys, tmp_path):
+    p = tmp_path / "phi.cnf"
+    p.write_text("p cnf 24 512\n" + "1 -2 0\n" * 512)
+    status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
+    assert status == 0 and as_dict(out)["value"] == "512" and as_dict(out)["recheck"] == "ok"
+
+
+def test_max2sat_over_2_to_the_32_assignments_is_refused(capsys, tmp_path):
+    p = tmp_path / "phi.cnf"
+    p.write_text("p cnf 33 1\n1 2 0\n")
+    status = main(["solve", "max2sat", "-f", str(p)])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == (
+        "resource error: assignment enumeration needs 2^33 assignments, above the budget of 4294967296\n"
+    )
 
 
 def test_module_entry_point_exits_2_on_a_refusal(tmp_path):
@@ -659,6 +674,31 @@ def test_solve_max2sat_recheck_is_independent_of_the_solver(capsys, tmp_path, mo
     monkeypatch.setattr(Max2SatInstance, "satisfied_count", lambda self, a: satisfied_count(self, a) + 1)
     status, out = run(capsys, "solve", "max2sat", "-f", str(p), "--recheck")
     assert status == 1 and as_dict(out)["recheck"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "problem, text, module, counter",
+    [
+        ("cms", CMS, exact, "coverage_counts"),
+        ("ffms", "strings 2 2 3\nparam d 1\n00\n01\n11\n", exact, "anticoverage_counts"),
+        ("cks", "strings 2 2 3\nparam k 2\n00\n01\n11\n", exact, "distances"),
+        ("msfbc", "strings 2 4 3\nparam k 2\n0000\n0001\n0000\n", np, "bitwise_count"),
+    ],
+)
+def test_solve_exact_recheck_is_independent_of_the_solver(capsys, tmp_path, monkeypatch, problem, text, module,
+                                                          counter):
+    p = tmp_path / "input.txt"
+    p.write_text(text)
+    argv = ["solve", problem, "--algo", "exact", "-f", str(p), "--recheck"]
+    status, out = run(capsys, *argv)
+    assert status == 0 and as_dict(out)["recheck"] == "ok"
+    # the solver's own count is one too many, so it reports a wrong value;
+    # a recheck that counted the same way would agree with it
+    count = getattr(module, counter)
+    monkeypatch.setattr(module, counter, lambda *args: count(*args) + 1)
+    status, wrong = run(capsys, *argv)
+    assert status == 1 and as_dict(wrong)["recheck"] == "fail"
+    assert {**as_dict(wrong), "recheck": "ok"} != as_dict(out)
 
 
 def test_solve_msfbc_columns_recheck_is_independent_of_the_solver(capsys, tmp_path, monkeypatch):

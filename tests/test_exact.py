@@ -291,12 +291,8 @@ BUDGET_SITES = {
     "msfbc columns": (exact, "DEFAULT_SUBSET_BUDGET", 56,
                       lambda: solve_msfbc_columns(MsfbcInstance(random_string_set(2, 8, 5, seed=0), 3)),
                       "column enumeration needs C(8,3) column sets, above the budget of 55"),
-    # the constant is an exponent: one below it is a budget of 2^2 assignments
-    "max2sat": (exact, "DEFAULT_ASSIGNMENT_VARS", 3, lambda: solve_max2sat_exact(random_max2sat(3, 4, seed=0)),
-                "assignment enumeration needs 2^3 assignments, above the budget of 4"),
-    "max2sat clause tests": (exact, "DEFAULT_CLAUSE_TESTS", 2**3 * 4,
-                             lambda: solve_max2sat_exact(random_max2sat(3, 4, seed=0)),
-                             "assignment enumeration needs 2^3*4 clause tests, above the budget of 31"),
+    "max2sat": (exact, "DEFAULT_WORK_BUDGET", 2**3, lambda: solve_max2sat_exact(random_max2sat(3, 4, seed=0)),
+                "assignment enumeration needs 2^3 assignments, above the budget of 7"),
     "dks": (exact, "DEFAULT_SUBSET_BUDGET", 20, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),
             "subset enumeration needs C(6,3) subsets, above the budget of 19"),
     "dks entries": (exact, "DEFAULT_ENUM_BUDGET", 60, lambda: solve_dks_exact(random_graph(6, 7, seed=0), 3),
@@ -317,10 +313,10 @@ BUDGET_SITES = {
                           "the reduction needs V*(E+1) = 48 symbols, above the budget of 47"),
     "max2sat clauses": (exact, "DEFAULT_SUBSET_BUDGET", 7, lambda: random_max2sat(3, 7, seed=0),
                         "Max-2-SAT generation needs 7 clauses, above the budget of 6"),
-    "local restarts": (exact, "DEFAULT_CLAUSE_TESTS", 2 * 4 * 3,
+    "local restarts": (exact, "DEFAULT_WORK_BUDGET", 2 * 4 * 3,
                        lambda: local_search_cms(CmsInstance(sset("0000", "0110", "1111"), 1), SearchConfig(restarts=2)),
                        "hill climbing needs 2*4*3 mismatch cells, above the budget of 23"),
-    "fixing draws": (exact, "DEFAULT_CLAUSE_TESTS", 2 * 2 * 3 * 3,
+    "fixing draws": (exact, "DEFAULT_WORK_BUDGET", 2 * 2 * 3 * 3,
                      lambda: experiments.lemma_fixing_campaign(3, 3, 2, trials=2, seed=0),
                      "fixing campaign needs 2*2*3*3 fixing draws, above the budget of 35"),
 }

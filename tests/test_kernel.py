@@ -1,8 +1,10 @@
 """The packed distance kernel, the center solvers and the hill climbing built
-on it, the two MSFBC solvers, and the block-scored DkS and Max-2-SAT solvers,
-checked against the pure-Python reference solvers in ``reference_solvers``."""
+on it, the two MSFBC solvers, the block-scored DkS solver and the
+split-and-list Max-2-SAT solver, checked against the reference solvers in
+``reference_solvers``."""
 
 import itertools
+import random
 import tracemalloc
 from unittest import mock
 
@@ -505,22 +507,63 @@ def formulas(draw, max_variables=12):
 
 
 @settings(max_examples=100, deadline=None)
-@given(formulas(), st.sampled_from(BLOCK_ELEMENTS))
-def test_max2sat_solver_matches_reference(phi, block):
-    with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
-        assignment, count = solve_max2sat_exact(phi)
+@given(formulas())
+def test_max2sat_solver_matches_reference(phi):
+    assignment, count = solve_max2sat_exact(phi)
     assert (assignment, count) == ref.solve_max2sat_exact(phi)
     assert all(type(x) is bool for x in assignment) and type(count) is int
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_max2sat_tie_over_every_assignment_is_all_false(n):
-    # x or x with ~x or ~x satisfies one of the two, and the four sign
-    # patterns on one pair of variables satisfy three of the four, whatever
-    # the assignment
+def _tie_formula(n: int) -> Max2SatInstance:
+    """x or x with ~x or ~x satisfies one of the two, and the four sign
+    patterns on one pair of variables satisfy three of the four, whatever
+    the assignment."""
     units = [(Literal(v, p), Literal(v, p)) for v in range(1, n + 1) for p in (True, False)]
     pairs = [(Literal(v, p), Literal(v + 1, q)) for v in range(1, n) for p in (True, False) for q in (True, False)]
-    phi = Max2SatInstance(n, tuple(units + pairs))
-    for block in BLOCK_ELEMENTS:
-        with mock.patch.object(exact, "_BLOCK_ELEMENTS", block):
-            assert solve_max2sat_exact(phi) == ((False,) * n, n + 3 * (n - 1))
+    return Max2SatInstance(n, tuple(units + pairs))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_max2sat_tie_over_every_assignment_is_all_false(n):
+    assert solve_max2sat_exact(_tie_formula(n)) == ((False,) * n, n + 3 * (n - 1))
+
+
+def _split_cases(n: int) -> dict:
+    """Formulas on n variables built around the solver's split into groups A,
+    B and C: clauses inside each group, across each pair of groups, repeated
+    clauses, one clause, and a formula on which every assignment ties."""
+    k = min(n // 3, 10)
+    groups = {"A": range(1, n - 2 * k + 1), "B": range(n - 2 * k + 1, n - k + 1), "C": range(n - k + 1, n + 1)}
+    groups = {name: variables for name, variables in groups.items() if variables}
+    rng = random.Random(n)
+
+    def clause(left, right):
+        u, v = rng.choice(left), rng.choice(right)
+        p = rng.random() < 0.5
+        return Literal(u, p), Literal(v, p if u == v else rng.random() < 0.5)
+
+    def formula(left, right, m):
+        return Max2SatInstance(n, tuple(clause(left, right) for _ in range(m)))
+
+    cases = {f"inside {g}": formula(groups[g], groups[g], 2 * n) for g in groups}
+    cases |= {f"across {g}{h}": formula(groups[g], groups[h], 2 * n) for g, h in itertools.combinations(groups, 2)}
+    distinct = formula(range(1, n + 1), range(1, n + 1), 3).clauses
+    cases["repeated"] = Max2SatInstance(n, distinct * 3 + distinct[:1] * 4)
+    cases["one clause"] = formula(range(1, n + 1), range(1, n + 1), 1)
+    cases["random"] = formula(range(1, n + 1), range(1, n + 1), 3 * n)
+    cases["every assignment ties"] = _tie_formula(n)
+    if n == 1:
+        cases["x1 or x1"] = Max2SatInstance(1, ((Literal(1, True),) * 2,))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_max2sat_split_and_list_matches_both_references(n):
+    for name, phi in _split_cases(n).items():
+        expected = ref.solve_max2sat_clause_tests(phi)
+        assert solve_max2sat_exact(phi) == expected, name
+        # the per-assignment loop where its 2^n * m clause evaluations stay near a second
+        if phi.clause_count << n <= 1 << 20:
+            assert ref.solve_max2sat_exact(phi) == expected, name
+        if name == "every assignment ties":
+            assert expected[0] == (False,) * n

@@ -1,9 +1,14 @@
-"""Metamorphic checks of the exact center solvers. Permuting the columns of a
-string set and relabeling the symbols of one column map every center to one
-at the same distances, so the CMS, FFMS and CkS optima keep their values.
-The maps move columns across the block scorer's head and tail split. Each
-reported center is mapped back and re-scored on the original set by the
-per-word ``coverage``, ``anticoverage`` and ``hamming``.
+"""Metamorphic checks of the exact center solvers and the exact Max-2-SAT
+solver. Permuting the columns of a string set and relabeling the symbols of
+one column map every center to one at the same distances, so the CMS, FFMS
+and CkS optima keep their values. The maps move columns across the block
+scorer's head and tail split. Each reported center is mapped back and
+re-scored on the original set by the per-word ``coverage``, ``anticoverage``
+and ``hamming``. Renaming the variables of a 2-CNF formula, or flipping one
+variable's sign in every clause, maps every assignment to one that satisfies
+the same clauses and moves variables across the solver's split into groups,
+so the Max-2-SAT optimum keeps its value; the reported assignment is mapped
+back and re-scored by ``Max2SatInstance.satisfied_count``.
 
 The full-budget cases run only when ``STRSEL_FULL_BUDGET`` is set:
 
@@ -18,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strsel.cli import main
-from strsel.exact import solve_cks_exact, solve_cms_exact, solve_ffms_exact, symbol_matrix
-from strsel.formats import serialize_strings_instance
-from strsel.gen import random_string_set
+from strsel.exact import solve_cks_exact, solve_cms_exact, solve_ffms_exact, solve_max2sat_exact, symbol_matrix
+from strsel.formats import serialize_cnf, serialize_strings_instance
+from strsel.gen import random_max2sat, random_string_set
+from strsel.reductions import Literal, Max2SatInstance
 from strsel.words import (
     Alphabet,
     CksInstance,
@@ -116,3 +122,55 @@ def test_optimum_is_invariant_at_full_budget(capsys, tmp_path, problem, sigma, l
     else:
         subset = [int(i) - 1 for i in after["subset"].split()]
         assert max(hamming(center, sset.words[i]) for i in subset) == int(before["value"])
+
+
+def renamed(phi: Max2SatInstance, order, flip: int) -> Max2SatInstance:
+    """``phi`` with variable v written as ``order[v - 1]``, after every literal
+    of variable ``flip`` is negated."""
+    return Max2SatInstance(phi.variable_count, tuple(
+        tuple(Literal(order[lit.variable - 1], lit.positive != (lit.variable == flip)) for lit in clause)
+        for clause in phi.clauses
+    ))
+
+
+def assignment_back(assignment, order, flip: int) -> tuple:
+    """The assignment of the original formula that :func:`renamed` maps to ``assignment``."""
+    return tuple(assignment[order[v - 1] - 1] != (v == flip) for v in range(1, len(assignment) + 1))
+
+
+@st.composite
+def renamed_formulas(draw):
+    n = draw(st.integers(1, 16))
+    literal = st.builds(Literal, st.integers(1, n), st.booleans())
+    clause = st.tuples(literal, literal).filter(lambda c: c[0].variable != c[1].variable or c[0] == c[1])
+    phi = Max2SatInstance(n, tuple(draw(st.lists(clause, min_size=1, max_size=3 * n))))
+    order = draw(st.permutations(range(1, n + 1)))
+    # flip 0 renames only
+    return phi, order, draw(st.integers(0, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(renamed_formulas())
+def test_max2sat_optimum_is_invariant_under_renaming_and_sign_flips(case):
+    phi, order, flip = case
+    before, after = solve_max2sat_exact(phi), solve_max2sat_exact(renamed(phi, order, flip))
+    assert after[1] == before[1]
+    assert phi.satisfied_count(assignment_back(after[0], order, flip)) == before[1]
+
+
+@pytest.mark.skipif(not os.environ.get("STRSEL_FULL_BUDGET"), reason="full-budget sizes run in their own CI step")
+def test_max2sat_optimum_is_invariant_at_full_budget(capsys, tmp_path):
+    phi = random_max2sat(30, 90, seed=30)
+    rng = np.random.default_rng(30)
+    identity = list(range(1, 31))
+    maps = [(identity, 0), ((rng.permutation(30) + 1).tolist(), 0), (identity, int(rng.integers(1, 31)))]
+    outputs = []
+    for i, (order, flip) in enumerate(maps):
+        path = tmp_path / f"{i}.cnf"
+        path.write_text(serialize_cnf(renamed(phi, order, flip)))
+        outputs.append(_solve(capsys, path, "max2sat"))
+    optimum = int(outputs[0]["value"])
+    for (order, flip), out in zip(maps, outputs):
+        assert int(out["value"]) == optimum
+        assignment = tuple(bit == "1" for bit in out["assignment"])
+        assert phi.satisfied_count(assignment_back(assignment, order, flip)) == optimum
